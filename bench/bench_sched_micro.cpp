@@ -342,19 +342,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--simd=", 7) == 0) {
       const std::string isa = argv[i] + 7;
       try {
-        if (isa == "scalar") {
-          simd::set_active_isa(simd::Isa::kScalar);
-        } else if (isa == "sse2") {
-          simd::set_active_isa(simd::Isa::kSse2);
-        } else if (isa == "avx2") {
-          simd::set_active_isa(simd::Isa::kAvx2);
-        } else if (isa == "native") {
-          simd::set_active_isa(simd::best_supported_isa());
-        } else {
-          std::fprintf(stderr,
-                       "error: --simd wants scalar|sse2|avx2|native\n");
-          return 2;
-        }
+        simd::set_active_isa(simd::parse_isa(isa));
       } catch (const ConfigError& e) {
         std::fprintf(stderr, "error: --simd=%s: %s\n", isa.c_str(), e.what());
         return 2;

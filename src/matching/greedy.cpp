@@ -356,36 +356,6 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
       static_cast<std::size_t>(n_left < n_right ? n_left : n_right);
   std::size_t accepted = 0;
 
-  // Monotone fast path: when the scores arrive nondecreasing (and ties,
-  // if any, are payload-ordered) the lanes already ARE the selection
-  // order — scan them in place. The simd scan bails on the first
-  // inversion, so unsorted inputs pay a handful of comparisons.
-  const simd::SortedScan scan = simd::sorted_scan_f64(score, n);
-  bool presorted = scan.nondecreasing;
-  if (presorted && scan.any_equal_adjacent) {
-    for (std::size_t i = 1; i < n; ++i) {
-      if (score[i - 1] == score[i] && payload[i] < payload[i - 1]) {
-        presorted = false;
-        break;
-      }
-    }
-  }
-  if (presorted) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto l = static_cast<std::size_t>(left[i]);
-      const auto r = static_cast<std::size_t>(right[i]);
-      if (!left_used_[l] && !right_used_[r]) {
-        left_used_[l] = 1;
-        right_used_[r] = 1;
-        out.push_back(payload[i]);
-        if (++accepted == max_accept) {
-          break;
-        }
-      }
-    }
-    return;
-  }
-
   if (n_left > 0xffff || n_right > 0xffff) {
     // Ports don't fit the 16-bit record fields: comparison-sort an index
     // permutation instead. Cold path — no real fabric has 64k ports.

@@ -42,10 +42,10 @@ GreedyResult greedy_maximal(std::vector<ScoredCandidate> candidates,
 /// schedulers): the (score, payload) key is then a total order, so no
 /// two sort algorithms can disagree on the order.
 ///
-/// Ordering strategy, chosen per call:
-///  * already sorted (nondecreasing scores, payload-ordered ties — a
-///    simd scan that bails on the first inversion): skip sorting
-///    entirely and scan the lanes in place;
+/// Ordering strategy, chosen per call (every input is sorted, already
+/// sorted ones included):
+///  * port counts >= 65536: comparison-sort an index permutation (the
+///    ports do not fit the 16-bit record fields);
 ///  * small sets: comparison-sort compact 16-byte records;
 ///  * large sets: a value-linear bucket scatter — a monotone bucket map
 ///    fitted to ~128 strided score samples (one linear piece, or two

@@ -5,9 +5,9 @@
 // enough provenance (commit, host fingerprint, repetition discipline)
 // to judge whether two records are comparable. Records are written to
 // BENCH_<name>.json; committed baselines live at the repo root and the
-// regression gate (src/perf/gate, scripts/perf_gate.py) diffs fresh
-// runs against them. See docs/PERF.md for the schema and the metric
-// naming convention the gate's direction inference relies on.
+// regression gate (scripts/perf_gate.py) diffs fresh runs against them.
+// See docs/PERF.md for the schema and the metric naming convention the
+// gate's direction inference relies on.
 #pragma once
 
 #include <string>

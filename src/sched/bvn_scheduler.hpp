@@ -21,8 +21,6 @@ class BvnScheduler final : public Scheduler {
   /// decomposed at construction.
   BvnScheduler(matching::RateMatrix rates, Rng rng);
 
-  using Scheduler::decide_into;
-
   std::string name() const override { return "bvn-random"; }
   bool needs_arrival_lane() const override { return false; }
   void decide_into(PortId n_ports, const CandidateView& candidates,

@@ -16,8 +16,6 @@ namespace basrpt::sched {
 
 class FastBasrptScheduler final : public Scheduler {
  public:
-  using Scheduler::decide_into;
-
   /// `v` is the paper's importance weight (>= 0), in packet units.
   explicit FastBasrptScheduler(double v);
 

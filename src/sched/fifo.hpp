@@ -13,8 +13,6 @@ namespace basrpt::sched {
 
 class FifoScheduler final : public Scheduler {
  public:
-  using Scheduler::decide_into;
-
   std::string name() const override { return "fifo"; }
   // The only built-in scheduler that reads the per-VOQ FIFO head, i.e.
   // the view's arrival lanes (the Scheduler default is already

@@ -34,8 +34,6 @@ class InstrumentedScheduler : public Scheduler {
                                  obs::Registry* registry = nullptr,
                                  const std::string& prefix = "sched");
 
-  using Scheduler::decide_into;
-
   std::string name() const override { return inner_->name(); }
   bool needs_arrival_lane() const override {
     return inner_->needs_arrival_lane();

@@ -22,8 +22,6 @@ class NoisySizeScheduler final : public Scheduler {
   /// error does not resample itself every decision).
   NoisySizeScheduler(SchedulerPtr inner, double error, std::uint64_t seed);
 
-  using Scheduler::decide_into;
-
   std::string name() const override;
   bool needs_arrival_lane() const override {
     return inner_->needs_arrival_lane();

@@ -87,25 +87,6 @@ class Scheduler {
     decide_into(n_ports, candidates, out);
     return out;
   }
-
-  /// Deprecated AoS shims, kept for one release so out-of-tree callers
-  /// holding std::vector<VoqCandidate> keep compiling (concrete classes
-  /// re-export them with `using Scheduler::decide_into;`). They repack
-  /// into an internal SoA scratch per call — migrate to CandidateView.
-  void decide_into(PortId n_ports, const std::vector<VoqCandidate>& candidates,
-                   Decision& out) {
-    decide_into(n_ports, CandidateView::from_aos(candidates, compat_soa_),
-                out);
-  }
-  Decision decide(PortId n_ports,
-                  const std::vector<VoqCandidate>& candidates) {
-    Decision out;
-    decide_into(n_ports, candidates, out);
-    return out;
-  }
-
- private:
-  CandidateSoA compat_soa_;  // scratch for the deprecated AoS shim
 };
 
 using SchedulerPtr = std::unique_ptr<Scheduler>;

@@ -15,8 +15,6 @@ namespace basrpt::sched {
 
 class SrptScheduler final : public Scheduler {
  public:
-  using Scheduler::decide_into;
-
   std::string name() const override { return "srpt"; }
   bool needs_arrival_lane() const override { return false; }
   void decide_into(PortId n_ports, const CandidateView& candidates,

@@ -16,8 +16,6 @@ bool cpu_supports(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
-      return true;  // baseline on x86-64
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
   }
@@ -28,27 +26,13 @@ bool cpu_supports(Isa isa) {
 }
 
 Isa initial_isa() {
-  Isa best = best_supported_isa();
   const char* env = std::getenv("BASRPT_SIMD");
-  if (env == nullptr || *env == '\0') return best;
-  const std::string v(env);
-  Isa want;
-  if (v == "scalar") {
-    want = Isa::kScalar;
-  } else if (v == "sse2") {
-    want = Isa::kSse2;
-  } else if (v == "avx2") {
-    want = Isa::kAvx2;
-  } else if (v == "native") {
-    return best;
-  } else {
-    throw ConfigError("BASRPT_SIMD: unknown value '" + v +
-                      "' (want scalar|sse2|avx2|native)");
+  if (env == nullptr || *env == '\0') return best_supported_isa();
+  try {
+    return parse_isa(env);
+  } catch (const ConfigError& e) {
+    throw ConfigError(std::string("BASRPT_SIMD: ") + e.what());
   }
-  BASRPT_REQUIRE(cpu_supports(want),
-                 std::string("BASRPT_SIMD=") + v +
-                     ": ISA not available in this build/CPU");
-  return want;
 }
 
 std::atomic<int>& active_slot() {
@@ -62,12 +46,27 @@ const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
   }
   return "unknown";
+}
+
+Isa parse_isa(const std::string& value) {
+  Isa want;
+  if (value == "scalar") {
+    want = Isa::kScalar;
+  } else if (value == "avx2") {
+    want = Isa::kAvx2;
+  } else if (value == "native") {
+    return best_supported_isa();
+  } else {
+    throw ConfigError("unknown ISA '" + value +
+                      "' (want scalar|avx2|native)");
+  }
+  BASRPT_REQUIRE(cpu_supports(want),
+                 "ISA '" + value + "' not available in this build/CPU");
+  return want;
 }
 
 bool compiled_with_simd() {
@@ -80,7 +79,6 @@ bool compiled_with_simd() {
 
 Isa best_supported_isa() {
   if (cpu_supports(Isa::kAvx2)) return Isa::kAvx2;
-  if (cpu_supports(Isa::kSse2)) return Isa::kSse2;
   return Isa::kScalar;
 }
 
@@ -100,8 +98,6 @@ namespace detail {
 const KernelTable& active_table() {
   switch (active_isa()) {
 #if defined(BASRPT_SIMD_ENABLED)
-    case Isa::kSse2:
-      return sse2_table();
     case Isa::kAvx2:
       return avx2_table();
 #endif
@@ -115,14 +111,6 @@ const KernelTable& active_table() {
 void compute_keys(KeyOp op, double p0, double p1, const double* sr,
                   const double* backlog, std::size_t n, double* out) {
   detail::active_table().compute_keys(op, p0, p1, sr, backlog, n, out);
-}
-
-MinMax minmax_f64(const double* x, std::size_t n) {
-  return detail::active_table().minmax_f64(x, n);
-}
-
-SortedScan sorted_scan_f64(const double* x, std::size_t n) {
-  return detail::active_table().sorted_scan_f64(x, n);
 }
 
 void bucket_indexes(const double* x, double mn, double inv, std::uint32_t cap,

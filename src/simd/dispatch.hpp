@@ -1,30 +1,30 @@
 // Runtime ISA dispatch for the scoring kernels.
 //
-// The kernels in this module exist in up to three variants — portable
-// scalar, SSE2 (x86-64 baseline) and AVX2 — compiled into separate
-// translation units so each can carry its own target attributes. Which
-// variant runs is a process-global decision made once at startup and
-// changeable at runtime (benches A/B scalar vs native; the differential
-// tests pin each side in turn).
+// The kernels in this module exist in two variants — the portable
+// scalar reference and AVX2 — compiled into separate translation units
+// so the AVX2 one alone carries -mavx2. Which variant runs is a
+// process-global decision made once at startup and changeable at
+// runtime (benches A/B scalar vs native; the differential tests pin
+// each side in turn).
 //
-// Every variant of every kernel is bit-identical by construction: the
-// vector paths use the same IEEE operations in the same order as the
-// scalar fallback (multiply-then-subtract, never FMA; min/max without
-// reassociation across lanes is safe because min/max are associative
-// and commutative for the NaN-free inputs the kernels contract for).
-// A scalar-built binary (-DBASRPT_SIMD=OFF) therefore produces the same
-// figure CSVs byte for byte — CI enforces this.
+// Every kernel's AVX2 variant is bit-identical to the scalar one by
+// construction: it uses the same IEEE operations in the same
+// per-element order (multiply-then-subtract, never FMA; clamps are
+// per-element min/max, never reduced across lanes). A scalar-built
+// binary (-DBASRPT_SIMD=OFF) therefore produces the same figure CSVs
+// byte for byte — CI enforces this.
 #pragma once
+
+#include <string>
 
 namespace basrpt::simd {
 
 enum class Isa {
   kScalar = 0,  // portable C++ loops, always available
-  kSse2 = 1,    // 2-wide doubles; baseline on x86-64
-  kAvx2 = 2,    // 4-wide doubles
+  kAvx2 = 1,    // 4-wide doubles
 };
 
-/// Human-readable name ("scalar", "sse2", "avx2").
+/// Human-readable name ("scalar", "avx2").
 const char* isa_name(Isa isa);
 
 /// True when the vector variants were compiled in (BASRPT_SIMD=ON and an
@@ -34,10 +34,16 @@ bool compiled_with_simd();
 /// Best ISA both compiled in and supported by this CPU.
 Isa best_supported_isa();
 
+/// Parses an ISA name as accepted by BASRPT_SIMD and the benches'
+/// --simd flag: "scalar", "avx2" or "native" (best_supported_isa()).
+/// Throws ConfigError, listing the accepted values, for any other name,
+/// and for an ISA this build/CPU lacks.
+Isa parse_isa(const std::string& value);
+
 /// The ISA the kernels currently dispatch to. Defaults to
 /// best_supported_isa(), overridable before first use with the
-/// BASRPT_SIMD environment variable ("scalar", "sse2", "avx2" or
-/// "native") and at any time with set_active_isa().
+/// BASRPT_SIMD environment variable (parsed by parse_isa()) and at any
+/// time with set_active_isa().
 Isa active_isa();
 
 /// Pins the dispatch. Throws ConfigError if `isa` was not compiled in or

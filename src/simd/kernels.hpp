@@ -4,10 +4,10 @@
 // (see sched::CandidateView); all kernels require NaN-free doubles —
 // candidate scores are sizes, backlogs and timestamps, never NaN.
 //
-// Bit-identity contract: every ISA variant performs the same IEEE-754
-// operations in the same per-element order. Key computations use
-// explicit multiply-then-subtract (no FMA contraction — the vector TUs
-// are compiled with -ffp-contract=off to match the baseline scalar
+// Bit-identity contract: the scalar and AVX2 variants perform the same
+// IEEE-754 operations in the same per-element order. Key computations
+// use explicit multiply-then-subtract (no FMA contraction — the AVX2 TU
+// is compiled with -ffp-contract=off to match the baseline scalar
 // build), so scalar and vector keys match bit for bit.
 #pragma once
 
@@ -33,26 +33,6 @@ enum class KeyOp {
 /// and `backlog` lanes. Lanes may alias `out` only if identical.
 void compute_keys(KeyOp op, double p0, double p1, const double* sr,
                   const double* backlog, std::size_t n, double* out);
-
-struct MinMax {
-  double min;
-  double max;
-};
-
-/// Min and max of a NaN-free lane. n must be >= 1.
-MinMax minmax_f64(const double* x, std::size_t n);
-
-struct SortedScan {
-  bool nondecreasing;        // x[i] <= x[i+1] for all adjacent pairs
-  // Some x[i] == x[i+1] (equal runs need a payload-order check).
-  // Meaningful only when `nondecreasing`; on early inversion exit the
-  // variants may disagree about pairs scanned so far.
-  bool any_equal_adjacent;
-};
-
-/// Scans for sort order; exits early on the first inversion so the cost
-/// on unsorted input is a few elements.
-SortedScan sorted_scan_f64(const double* x, std::size_t n);
 
 /// out[i] = min(cap, (uint32_t)max(0.0, (x[i] - mn) * inv)) — the
 /// value-linear bucket index used by the matcher's scatter sort. `mn`
@@ -100,8 +80,6 @@ namespace detail {
 struct KernelTable {
   void (*compute_keys)(KeyOp, double, double, const double*, const double*,
                        std::size_t, double*);
-  MinMax (*minmax_f64)(const double*, std::size_t);
-  SortedScan (*sorted_scan_f64)(const double*, std::size_t);
   void (*bucket_indexes)(const double*, double, double, std::uint32_t,
                          std::size_t, std::uint32_t*);
   void (*bucket_indexes_2piece)(const double*, double, double, double,
@@ -120,7 +98,6 @@ struct KernelTable {
 
 const KernelTable& scalar_table();
 #if defined(BASRPT_SIMD_ENABLED)
-const KernelTable& sse2_table();
 const KernelTable& avx2_table();
 #endif
 

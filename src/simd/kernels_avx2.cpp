@@ -62,56 +62,6 @@ void compute_keys_avx2(KeyOp op, double p0, double p1, const double* sr,
   }
 }
 
-MinMax minmax_avx2(const double* x, std::size_t n) {
-  std::size_t i = 0;
-  MinMax mm{x[0], x[0]};
-  if (n >= 4) {
-    __m256d vmin = _mm256_loadu_pd(x);
-    __m256d vmax = vmin;
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m256d v = _mm256_loadu_pd(x + i);
-      vmin = _mm256_min_pd(vmin, v);
-      vmax = _mm256_max_pd(vmax, v);
-    }
-    double lo[4], hi[4];
-    _mm256_storeu_pd(lo, vmin);
-    _mm256_storeu_pd(hi, vmax);
-    mm.min = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
-    mm.max = std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]));
-  } else {
-    i = 1;
-  }
-  for (; i < n; ++i) {
-    mm.min = std::min(mm.min, x[i]);
-    mm.max = std::max(mm.max, x[i]);
-  }
-  return mm;
-}
-
-SortedScan sorted_scan_avx2(const double* x, std::size_t n) {
-  SortedScan s{true, false};
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prev = _mm256_loadu_pd(x + i - 1);
-    const __m256d cur = _mm256_loadu_pd(x + i);
-    if (_mm256_movemask_pd(_mm256_cmp_pd(prev, cur, _CMP_GT_OQ)) != 0) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (_mm256_movemask_pd(_mm256_cmp_pd(prev, cur, _CMP_EQ_OQ)) != 0) {
-      s.any_equal_adjacent = true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (x[i - 1] > x[i]) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (x[i - 1] == x[i]) s.any_equal_adjacent = true;
-  }
-  return s;
-}
-
 void bucket_indexes_avx2(const double* x, double mn, double inv,
                          std::uint32_t cap, std::size_t n,
                          std::uint32_t* out) {
@@ -293,11 +243,10 @@ void gather_u32_from_size_avx2(const void* base, std::size_t stride,
 
 const KernelTable& avx2_table() {
   static const KernelTable table{
-      compute_keys_avx2,        minmax_avx2,
-      sorted_scan_avx2,         bucket_indexes_avx2,
+      compute_keys_avx2,          bucket_indexes_avx2,
       bucket_indexes_2piece_avx2, bounds_ok_i32_avx2,
-      gather_f64_avx2,          gather_i64_avx2,
-      gather_i32_avx2,          gather_u32_from_size_avx2,
+      gather_f64_avx2,            gather_i64_avx2,
+      gather_i32_avx2,            gather_u32_from_size_avx2,
   };
   return table;
 }

@@ -1,5 +1,5 @@
 // Portable scalar kernel variants. This TU is the semantic reference:
-// the SSE2/AVX2 TUs must match it bit for bit on NaN-free input.
+// the AVX2 TU must match it bit for bit on NaN-free input.
 #include <algorithm>
 #include <cstring>
 
@@ -31,27 +31,6 @@ void compute_keys_scalar(KeyOp op, double p0, double p1, const double* sr,
       }
       break;
   }
-}
-
-MinMax minmax_scalar(const double* x, std::size_t n) {
-  MinMax mm{x[0], x[0]};
-  for (std::size_t i = 1; i < n; ++i) {
-    mm.min = std::min(mm.min, x[i]);
-    mm.max = std::max(mm.max, x[i]);
-  }
-  return mm;
-}
-
-SortedScan sorted_scan_scalar(const double* x, std::size_t n) {
-  SortedScan s{true, false};
-  for (std::size_t i = 1; i < n; ++i) {
-    if (x[i - 1] > x[i]) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (x[i - 1] == x[i]) s.any_equal_adjacent = true;
-  }
-  return s;
 }
 
 void bucket_indexes_scalar(const double* x, double mn, double inv,
@@ -136,11 +115,10 @@ void gather_u32_from_size_scalar(const void* base, std::size_t stride,
 
 const KernelTable& scalar_table() {
   static const KernelTable table{
-      compute_keys_scalar,   minmax_scalar,
-      sorted_scan_scalar,    bucket_indexes_scalar,
+      compute_keys_scalar,          bucket_indexes_scalar,
       bucket_indexes_2piece_scalar, bounds_ok_i32_scalar,
-      gather_f64_scalar,     gather_i64_scalar,
-      gather_i32_scalar,     gather_u32_from_size_scalar,
+      gather_f64_scalar,            gather_i64_scalar,
+      gather_i32_scalar,            gather_u32_from_size_scalar,
   };
   return table;
 }

@@ -86,8 +86,9 @@ TEST(Greedy, BlockedPortsSkipCandidates) {
   EXPECT_EQ(result.selected_payloads[0], 2);
 }
 
-// Oracle check for GreedyMatcher: the radix path must pick exactly the
-// payloads greedy_maximal's stable_sort picks, in the same order.
+// Oracle check for GreedyMatcher: whichever sort path a call takes, it
+// must pick exactly the payloads greedy_maximal's stable_sort picks, in
+// the same order.
 void expect_matcher_matches_oracle(std::vector<ScoredCandidate> candidates,
                                    PortId n_left, PortId n_right) {
   const GreedyResult oracle = greedy_maximal(candidates, n_left, n_right);
@@ -127,9 +128,13 @@ TEST(Greedy, MatcherRadixMatchesStableSortOracle) {
 
 TEST(Greedy, MatcherBimodalScoresMatchOracle) {
   // Threshold-SRPT-shaped keys: two clusters a class offset (1e12)
-  // apart, which drives the sampled bucket map onto its 2-piece path.
-  // A few outliers land outside both sampled cluster ranges and must
-  // clamp into the edge buckets without disturbing the order.
+  // apart, plus 1% outliers outside both. Both seeds split the sampled
+  // bucket map at its dominant gap. On seed 17 the 2-piece map spreads
+  // the records, and outliers clamp into the edge buckets without
+  // disturbing the order. On seed 5 a sampled outlier makes the widest
+  // gap, so one piece spans both clusters, piles them into two
+  // buckets, and the matcher falls back to radix. Both must match the
+  // oracle.
   for (std::uint64_t seed : {5u, 17u}) {
     Rng rng(seed);
     const PortId ports = 48;
@@ -150,9 +155,10 @@ TEST(Greedy, MatcherBimodalScoresMatchOracle) {
 }
 
 TEST(Greedy, MatcherSortedInputMatchesOracle) {
-  // Nondecreasing scores take the in-place monotone fast path; ties with
-  // out-of-order payloads must knock it back to the sorting path. Both
-  // shapes must agree with the oracle.
+  // Input that arrives in selection order gets no shortcut: it is
+  // sorted like any other (the bucket sweep finds no inversions). Runs
+  // of equal scores exercise the payload tiebreak, and one swapped pair
+  // of tie payloads must be put back in payload order.
   Rng rng(29);
   const PortId ports = 32;
   for (const bool scramble_tie_payloads : {false, true}) {
@@ -207,6 +213,32 @@ TEST(Greedy, MatcherComparisonPathMatchesOracleBelowThreshold) {
     }
     expect_matcher_matches_oracle(std::move(candidates), 16, 16);
   }
+}
+
+TEST(Greedy, MatcherHugePortCountsMatchOracle) {
+  // Port counts past 65535 do not fit the 16-bit sort records, so the
+  // matcher comparison-sorts an index permutation instead. Ports x and
+  // x + 65536 share their low 16 bits: a matcher that truncated them
+  // would see false conflicts and reject winners the oracle keeps.
+  const PortId ports = 70000;
+  Rng rng(37);
+  std::vector<ScoredCandidate> candidates;
+  for (int k = 0; k < 2000; ++k) {
+    const auto port = [&] {
+      return static_cast<PortId>(rng.uniform_int(0, 63) +
+                                 (rng.bernoulli(0.5) ? 65536 : 0));
+    };
+    ScoredCandidate c;
+    c.left = port();
+    c.right = port();
+    c.score = rng.bernoulli(0.2)
+                  ? static_cast<double>(rng.uniform_int(0, 4))  // ties
+                  : rng.uniform(0.0, 1e6);
+    c.payload = k;
+    candidates.push_back(c);
+  }
+  ASSERT_GE(candidates.size(), GreedyMatcher::kRadixThreshold);
+  expect_matcher_matches_oracle(std::move(candidates), ports, ports);
 }
 
 TEST(Greedy, MatcherReusedAcrossCallsStaysExact) {

@@ -351,7 +351,6 @@ class ScriptedScheduler : public sched::Scheduler {
   explicit ScriptedScheduler(std::vector<std::vector<sched::FlowId>> script)
       : script_(std::move(script)) {}
   std::string name() const override { return "scripted"; }
-  using sched::Scheduler::decide_into;
   void decide_into(sched::PortId, const sched::CandidateView&,
                    sched::Decision& out) override {
     out.selected.clear();
@@ -383,19 +382,24 @@ TEST(InstrumentedScheduler, CountsDecisionsAndPreemptions) {
       &registry, "test");
   EXPECT_EQ(instrumented.name(), "scripted");
 
-  instrumented.decide(4, fake_candidates(3));
+  sched::CandidateSoA storage;
+  instrumented.decide(
+      4, sched::CandidateView::from_aos(fake_candidates(3), storage));
   EXPECT_EQ(instrumented.last_candidates(), 3u);
   EXPECT_EQ(instrumented.last_matching_size(), 2u);
   EXPECT_EQ(instrumented.last_preemptions(), 0u);  // nothing before
 
-  instrumented.decide(4, fake_candidates(2));
+  instrumented.decide(
+      4, sched::CandidateView::from_aos(fake_candidates(2), storage));
   EXPECT_EQ(instrumented.last_preemptions(), 1u);  // flow 1 dropped
 
-  instrumented.decide(4, fake_candidates(0));
+  instrumented.decide(
+      4, sched::CandidateView::from_aos(fake_candidates(0), storage));
   EXPECT_EQ(instrumented.last_preemptions(), 2u);  // 2 and 3 dropped
   EXPECT_EQ(instrumented.last_matching_size(), 0u);
 
-  instrumented.decide(4, fake_candidates(1));
+  instrumented.decide(
+      4, sched::CandidateView::from_aos(fake_candidates(1), storage));
   EXPECT_EQ(instrumented.last_preemptions(), 0u);  // {} -> {5} drops none
 
   EXPECT_EQ(instrumented.decisions(), 4u);

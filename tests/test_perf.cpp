@@ -1,9 +1,9 @@
 // Tests for the perf subsystem: the JSON model, basrpt-bench-v1 record
 // round-trips and validation, the allocation counter and its per-phase
 // attribution, the phase profiler's self/child accounting, the
-// measurement harness, the regression-gate comparator (including the
-// injected-20%-regression / within-tolerance scenarios the CI gate's
-// self-test mirrors), and the CellPool perf counters.
+// measurement harness and the CellPool perf counters. The regression
+// gate's rules are checked by `scripts/perf_gate.py --self-test`, which
+// runs as its own ctest.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,7 +17,6 @@
 #include "common/assert.hpp"
 #include "exec/cell_pool.hpp"
 #include "perf/bench_record.hpp"
-#include "perf/gate.hpp"
 #include "perf/json.hpp"
 #include "perf/measure.hpp"
 #include "perf/profiler.hpp"
@@ -333,109 +332,6 @@ TEST(Measure, SetupRunsUntimedAndAllocsExcludeSetup) {
       });
   EXPECT_GT(setups, 0);
   EXPECT_DOUBLE_EQ(m.allocs_per_op, 0.0);
-}
-
-// --------------------------------------------------------------- gate
-
-perf::BenchRecord gate_baseline() {
-  perf::BenchRecord r;
-  r.name = "gate";
-  r.host = "h";
-  r.cpu = "c";
-  perf::BenchCase c;
-  c.label = "decide/srpt/ports=144";
-  c.metric("decisions_per_sec", 1.0e6);
-  c.metric("ns_p50", 900.0);
-  c.metric("ns_p99", 2000.0);
-  c.metric("allocs_per_decision", 0.0);
-  c.metric("rep_spread_frac", 0.03);
-  r.cases.push_back(c);
-  return r;
-}
-
-perf::BenchRecord with_metric(const std::string& name, double value) {
-  perf::BenchRecord r = gate_baseline();
-  for (auto& [metric, v] : r.cases[0].metrics) {
-    if (metric == name) {
-      v = value;
-    }
-  }
-  return r;
-}
-
-TEST(Gate, MetricDirectionInference) {
-  EXPECT_EQ(perf::metric_direction("decisions_per_sec"),
-            perf::Direction::kHigherBetter);
-  EXPECT_EQ(perf::metric_direction("ns_p50"), perf::Direction::kLowerBetter);
-  EXPECT_EQ(perf::metric_direction("total_ns"),
-            perf::Direction::kLowerBetter);
-  EXPECT_EQ(perf::metric_direction("allocs_per_decision"),
-            perf::Direction::kLowerBetter);
-  EXPECT_EQ(perf::metric_direction("rep_spread_frac"),
-            perf::Direction::kInformational);
-  EXPECT_EQ(perf::metric_direction("coverage_frac"),
-            perf::Direction::kInformational);
-  EXPECT_TRUE(perf::is_tail_metric("ns_p999"));
-  EXPECT_FALSE(perf::is_tail_metric("ns_p50"));
-}
-
-TEST(Gate, InjectedTwentyPercentRegressionFails) {
-  const perf::GateResult result =
-      perf::compare_records(gate_baseline(),
-                            with_metric("decisions_per_sec", 0.8e6), {});
-  ASSERT_EQ(result.regressions.size(), 1u);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.regressions[0].metric, "decisions_per_sec");
-  EXPECT_DOUBLE_EQ(result.regressions[0].limit, 0.9e6);
-}
-
-TEST(Gate, WithinTolerancePasses) {
-  perf::BenchRecord fresh = gate_baseline();
-  fresh.cases[0].metrics = {{"decisions_per_sec", 0.95e6},
-                            {"ns_p50", 990.0},
-                            {"ns_p99", 2600.0},  // +30% < 60% tail tol
-                            {"allocs_per_decision", 0.0},
-                            {"rep_spread_frac", 10.0}};  // informational
-  const perf::GateResult result =
-      perf::compare_records(gate_baseline(), fresh, {});
-  EXPECT_TRUE(result.ok()) << perf::render_gate_result(result);
-}
-
-TEST(Gate, AllocCorridorIsAbsolute) {
-  // 0 -> 1 alloc/op is tiny in relative terms but breaks the zero-alloc
-  // contract; the absolute corridor flags it.
-  EXPECT_FALSE(
-      perf::compare_records(gate_baseline(),
-                            with_metric("allocs_per_decision", 1.0), {})
-          .ok());
-  EXPECT_TRUE(
-      perf::compare_records(gate_baseline(),
-                            with_metric("allocs_per_decision", 0.3), {})
-          .ok());
-}
-
-TEST(Gate, TailToleranceIsLooserThanLatencyTolerance) {
-  // +40% on p50 fails (30% latency tol)...
-  EXPECT_FALSE(
-      perf::compare_records(gate_baseline(), with_metric("ns_p50", 1260.0), {})
-          .ok());
-  // ...but +40% on p99 passes (60% tail tol).
-  EXPECT_TRUE(
-      perf::compare_records(gate_baseline(), with_metric("ns_p99", 2800.0), {})
-          .ok());
-}
-
-TEST(Gate, MissingCaseFailsAndNewCaseIsNoted) {
-  perf::BenchRecord fresh = gate_baseline();
-  fresh.cases[0].label = "decide/srpt/ports=288";
-  const perf::GateResult result =
-      perf::compare_records(gate_baseline(), fresh, {});
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.missing_cases.size(), 1u);
-  EXPECT_EQ(result.missing_cases[0], "decide/srpt/ports=144");
-  EXPECT_FALSE(result.notes.empty());  // the new case is noted
-  EXPECT_NE(perf::render_gate_result(result).find("MISSING"),
-            std::string::npos);
 }
 
 // ------------------------------------------------------ CellPool perf

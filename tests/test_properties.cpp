@@ -41,6 +41,14 @@ VoqMatrix random_state(PortId n_ports, int n_flows, Rng& rng) {
   return voqs;
 }
 
+/// Decides on an AoS candidate list by repacking it into lanes.
+sched::Decision decide_aos(sched::Scheduler& scheduler, PortId n_ports,
+                           const std::vector<sched::VoqCandidate>& candidates) {
+  sched::CandidateSoA storage;
+  return scheduler.decide(
+      n_ports, sched::CandidateView::from_aos(candidates, storage));
+}
+
 // ---------------------------------------- every scheduler, every state
 
 class SchedulerProperty
@@ -59,7 +67,7 @@ TEST_P(SchedulerProperty, DecisionsAreAlwaysMatchings) {
     const PortId n = static_cast<PortId>(2 + trial % 5);
     VoqMatrix voqs = random_state(n, 4 * n, rng);
     const auto decision =
-        scheduler->decide(n, sched::build_candidates(voqs, 1.0));
+        decide_aos(*scheduler, n, sched::build_candidates(voqs, 1.0));
     EXPECT_TRUE(sched::decision_is_matching(decision, voqs))
         << sched::to_string(policy) << " trial " << trial;
   }
@@ -74,7 +82,7 @@ TEST_P(SchedulerProperty, WorkConservingSchedulersSelectSomething) {
   for (int trial = 0; trial < 10; ++trial) {
     VoqMatrix voqs = random_state(4, 6, rng);
     const auto decision =
-        scheduler->decide(4, sched::build_candidates(voqs, 1.0));
+        decide_aos(*scheduler, 4, sched::build_candidates(voqs, 1.0));
     EXPECT_GE(decision.selected.size(), 1u) << sched::to_string(policy);
   }
 }
