@@ -121,12 +121,14 @@ Endpoint chaos_endpoint(Endpoint ep) {
 
 void print_client_line(const srv::ClientResult& r) {
   std::printf("soak-client status=%s decisions=%llu admitted=%lld "
-              "shed=%lld duplicates=%llu reconnects=%lld fences=%lld\n",
+              "shed=%lld duplicates=%llu garbled=%llu reconnects=%lld "
+              "fences=%lld\n",
               r.status.c_str(),
               static_cast<unsigned long long>(r.decisions),
               static_cast<long long>(r.admitted),
               static_cast<long long>(r.shed),
               static_cast<unsigned long long>(r.duplicates),
+              static_cast<unsigned long long>(r.garbled),
               static_cast<long long>(r.reconnects),
               static_cast<long long>(r.fences));
 }

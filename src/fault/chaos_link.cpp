@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <string_view>
 
 #include "common/assert.hpp"
 
@@ -13,6 +14,10 @@ namespace {
 /// Read-ahead cap per direction; small so op boundaries are honored
 /// promptly and backpressure propagates through the proxy.
 constexpr std::size_t kBufCap = 16 * 1024;
+
+/// Verb of a basrpt-decisions-v1 decision frame (srv/wire.hpp); spelled
+/// out here because src/fault sits below srv.
+constexpr std::string_view kDecisionFramePrefix = "decision,";
 
 }  // namespace
 
@@ -149,15 +154,18 @@ bool ChaosLink::pump_direction(bool c2s, int from_fd, int to_fd) {
       if (!c2s) {
         s2c_partial_.push_back(b);
         if (b == '\n') {
-          s2c_last_line_ = s2c_partial_;
-          s2c_partial_.clear();
-          if (dup_pending_ > 0) {
+          // Only decision frames are re-delivered: a second header or
+          // hello is a protocol violation, not a duplicate, so a pending
+          // dup waits for the next decision frame.
+          if (dup_pending_ > 0 &&
+              s2c_partial_.starts_with(kDecisionFramePrefix)) {
             for (std::int64_t d = 0; d < dup_pending_; ++d) {
-              out.append(s2c_last_line_);
+              out.append(s2c_partial_);
             }
             stats_.dup_frames += dup_pending_;
             dup_pending_ = 0;
           }
+          s2c_partial_.clear();
         }
       }
     }

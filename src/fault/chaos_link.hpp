@@ -17,9 +17,10 @@
 // teardown is refused and absorbed by the client's backoff.
 //
 // The proxy is transport-agnostic on purpose: it never parses frames
-// (except to find '\n' boundaries for link-dup, which must inject a
-// *parseable* duplicate to exercise the client's sequence dedupe rather
-// than its parser) and lives in src/fault, below srv.
+// (except to find '\n' boundaries and the `decision,` verb for link-dup,
+// which must inject a *parseable* duplicate decision frame to exercise
+// the client's sequence dedupe rather than its parser) and lives in
+// src/fault, below srv.
 #pragma once
 
 #include <atomic>
@@ -97,10 +98,9 @@ class ChaosLink {
   std::uint64_t c2s_off_ = 0, s2c_off_ = 0;
   // Active corruption window per direction: [begin, end) stream offsets.
   std::uint64_t corrupt_end_[2] = {0, 0};
-  // Pending duplicate delivery: inject after the next s2c '\n'.
+  // Pending duplicate delivery: inject after the next s2c decision frame.
   std::int64_t dup_pending_ = 0;
   std::string s2c_partial_;   // transformed s2c bytes since the last '\n'
-  std::string s2c_last_line_; // most recent complete s2c frame
   std::string out_buf_[2];    // transformed, not yet written (0=c2s,1=s2c)
   ChaosLinkStats stats_;
 };

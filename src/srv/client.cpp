@@ -117,8 +117,16 @@ ClientResult Client::run(const std::vector<FeedRecord>& records) {
           try {
             msg = parse_decision_line(line, in_lines);
           } catch (const ParseError&) {
-            drop_link = true;  // corrupted frame: reconnect, replay
-            break;
+            if (!hello_seen) {
+              drop_link = true;  // corrupted handshake: reconnect, replay
+              break;
+            }
+            // Framing resynchronizes at the next '\n', so a garbled
+            // frame is lost like a seq gap. Dropping the link instead
+            // could discard a `complete` already buffered behind it,
+            // after which the finished server has nothing to re-send.
+            ++result.garbled;
+            continue;
           }
           switch (msg.kind) {
             case DecisionMsg::Kind::kHello: {

@@ -12,8 +12,10 @@
 //    dropped by sequence number; gaps are tolerated (frames lost with a
 //    dead connection are not re-sent — the sequence is the dedupe key,
 //    not a completeness promise);
-//  * garbage on the decisions stream / an `error` fence → treated as a
-//    dead connection, reconnect and replay.
+//  * a garbled frame after the hello → skipped and counted, like a gap
+//    (line framing resynchronizes at the next newline);
+//  * a garbled handshake / an `error` fence → treated as a dead
+//    connection, reconnect and replay.
 //
 // Each outage (the stretch from noticing a dead link to a completed
 // handshake) is bounded by reconnect_deadline_sec; exceeding it throws
@@ -46,6 +48,7 @@ struct ClientResult {
   std::string status;
   std::uint64_t decisions = 0;   // unique decision frames
   std::uint64_t duplicates = 0;  // frames dropped by sequence dedupe
+  std::uint64_t garbled = 0;     // unparseable frames skipped
   std::uint64_t last_seq = 0;
   std::int64_t admitted = 0;
   std::int64_t shed = 0;

@@ -1168,7 +1168,7 @@ TEST(Transport, ChaosLinkDifferentialConvergesBitIdentically) {
   EXPECT_EQ(stats.corrupted_bytes, 7);
   EXPECT_EQ(stats.stalls, 1);
   EXPECT_EQ(stats.dup_frames, 2);
-  EXPECT_GE(run.result.reconnects, 2);  // the reset + the two corruptions
+  EXPECT_GE(run.result.reconnects, 2);  // the reset + the feed-leg fence
   EXPECT_GE(run.result.duplicates, 2u);
   EXPECT_GE(transport.connections_fenced(), 1);
 
@@ -1305,6 +1305,120 @@ TEST(Transport, RefusesASecondProducerPolitely) {
   EXPECT_NE(got.find("error,0,0,busy"), std::string::npos);
   EXPECT_EQ(transport.connections_refused(), 1);
   EXPECT_EQ(transport.connections_accepted(), 1);
+}
+
+/// Accepts one connection on a listener within `ms`; invalid on timeout.
+UniqueFd accept_within(int listen_fd, int ms) {
+  struct pollfd fd = {listen_fd, POLLIN, 0};
+  if (poll_fds(&fd, 1, ms) <= 0) {
+    return UniqueFd();
+  }
+  return accept_on(listen_fd);
+}
+
+/// Reads `fd` until the bytes contain `needle` (empty: until EOF), or
+/// `ms` pass without data, and returns them.
+std::string read_until(int fd, const std::string& needle, int ms) {
+  std::string got;
+  while (needle.empty() || got.find(needle) == std::string::npos) {
+    struct pollfd pfd = {fd, POLLIN, 0};
+    if (poll_fds(&pfd, 1, ms) <= 0) {
+      break;
+    }
+    char buf[1024];
+    const long n = read_some(fd, buf, sizeof(buf));
+    if (n == -EAGAIN || n == -EWOULDBLOCK) {
+      continue;
+    }
+    if (n <= 0) {
+      break;
+    }
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+  return got;
+}
+
+TEST(Transport, ChaosLinkDuplicatesOnlyDecisionFrames) {
+  // A dup armed at offset 0 must skip the header and hello frames that
+  // open every decisions stream and land on the first decision frame.
+  fault::FaultPlan plan;
+  fault::FaultEvent e;
+  e.kind = fault::FaultKind::kLinkDup;
+  e.start = 0.0;
+  e.count = 2;
+  plan.add(e);
+
+  TempDir tmp;
+  const Endpoint upstream = parse_endpoint("uds:" + socket_path(tmp, "up.sock"));
+  UniqueFd listener = listen_endpoint(upstream);
+  fault::ChaosLinkConfig lcfg;
+  lcfg.listen = parse_endpoint("uds:" + socket_path(tmp, "proxy.sock"));
+  lcfg.upstream = upstream;
+  lcfg.plan = &plan;
+  fault::ChaosLink chaos(lcfg);
+  chaos.start();
+
+  UniqueFd client = connect_endpoint(lcfg.listen);
+  ASSERT_TRUE(client.valid());
+  UniqueFd server = accept_within(listener.get(), 2000);
+  ASSERT_TRUE(server.valid()) << "proxy never dialed upstream";
+  const std::string stream = std::string(srv::kDecisionsMagic) +
+                             "\nhello,0\ndecision,1,0.5,a,0\n"
+                             "complete,1,completed\n";
+  write_full(server.get(), stream.data(), stream.size());
+  server.reset();
+
+  const std::string got = read_until(client.get(), "", 2000);
+  chaos.stop();
+  EXPECT_EQ(got, std::string(srv::kDecisionsMagic) +
+                     "\nhello,0\n"
+                     "decision,1,0.5,a,0\ndecision,1,0.5,a,0\n"
+                     "decision,1,0.5,a,0\ncomplete,1,completed\n");
+  EXPECT_EQ(chaos.stats().dup_frames, 2);
+}
+
+TEST(Client, SkipsAGarbledFrameAndStillCollectsComplete) {
+  // The server finishes and goes away right after flushing `complete`,
+  // so the client must read past a garbled frame instead of dropping
+  // the link: a dial-back would find nobody to re-send the outcome.
+  TempDir tmp;
+  srv::ClientConfig config;
+  config.endpoint = parse_endpoint("uds:" + socket_path(tmp, "once.sock"));
+  config.backoff_initial_sec = 0.01;
+  config.reconnect_deadline_sec = 0.3;
+  UniqueFd listener = listen_endpoint(config.endpoint);
+  const std::vector<srv::FeedRecord> records = {make_record(0.0, 0, 1, 10)};
+  ClientRun run;
+  std::thread producer = drive_client(config, records, &run);
+
+  {
+    UniqueFd conn = accept_within(listener.get(), 2000);
+    EXPECT_TRUE(conn.valid()) << "client never dialed";
+    if (conn.valid()) {
+      const std::string hello = std::string(srv::kDecisionsMagic) +
+                                "\nhello,0\n";
+      write_full(conn.get(), hello.data(), hello.size());
+      const std::string feed = read_until(conn.get(), "end\n", 2000);
+      EXPECT_NE(feed.find("end\n"), std::string::npos)
+          << "client never sent its feed";
+      // Frame 2 arrives with its verb's case bit flipped (link-corrupt).
+      const std::string rest =
+          "decision,1,0.5,a,0\nDECISION,2,0.6,a,0\ndecision,3,0.7,s,1\n"
+          "complete,3,completed\n";
+      write_full(conn.get(), rest.data(), rest.size());
+    }
+  }
+  listener.reset();
+  unlink_endpoint(config.endpoint);
+  producer.join();
+
+  ASSERT_FALSE(run.error) << "client threw";
+  EXPECT_EQ(run.result.status, "completed");
+  EXPECT_EQ(run.result.garbled, 1u);
+  EXPECT_EQ(run.result.decisions, 2u);
+  EXPECT_EQ(run.result.admitted, 1);
+  EXPECT_EQ(run.result.shed, 1);
+  EXPECT_EQ(run.result.reconnects, 0);
 }
 
 TEST(Client, GivesUpAfterTheReconnectDeadline) {
