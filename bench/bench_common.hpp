@@ -15,22 +15,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <utility>
 
-#include "common/assert.hpp"
 #include "common/cli.hpp"
-#include "common/log.hpp"
-#include "fault/fault_plan.hpp"
 #include "core/experiment.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "perf/profiler.hpp"
-#include "report/metrics_json.hpp"
-#include "sched/instrumented.hpp"
 #include "stats/table.hpp"
-#include "switchsim/slotted_sim.hpp"
 
 namespace basrpt::bench {
 
@@ -128,260 +117,8 @@ inline core::ExperimentConfig base_config(const Scale& scale,
   core::ExperimentConfig config;
   config.fabric = scale.fabric;
   config.seed = static_cast<std::uint64_t>(cli.get_integer("seed"));
-  config.paranoid = cli.get_flag("paranoid");
   return config;
 }
-
-/// Hard-fails benches whose work is a single indivisible run (example
-/// replays, closed-form validation sweeps): --jobs cannot apply, and
-/// silently accepting it would read as "parallelism worked".
-inline void require_sequential(const CliParser& cli) {
-  if (cli.get_integer("jobs") != 1) {
-    std::fprintf(stderr,
-                 "error: this bench has no parallelizable sweep cells; "
-                 "--jobs does not apply here\n");
-    std::exit(2);
-  }
-}
-
-/// Run-scoped observability wiring for the shared --metrics / --trace /
-/// --heartbeat flags. Construct after parse_common (enables the global
-/// obs registry when any output is requested), apply() to each config
-/// about to run, and finish() once to write the artifacts. Everything it
-/// wires is passive, so flag-bearing runs produce bit-identical tables.
-///
-/// DEPRECATED for direct use in benches: construct a bench::RunSession
-/// (bench/run_session.hpp) instead, which owns one of these and adds
-/// fault wiring, checkpointing, and the parallel sweep driver behind a
-/// single object. Direct construction remains for tests and will go
-/// away once the migration settles.
-class ObsSession {
- public:
-  explicit ObsSession(const CliParser& cli)
-      : metrics_path_(cli.get_text("metrics")),
-        trace_path_(cli.get_text("trace")),
-        profile_path_(cli.get_text("profile-out")),
-        profile_(cli.get_flag("profile") || !cli.get_text("profile-out").empty()),
-        heartbeat_sec_(cli.get_real("heartbeat")) {
-    if (!metrics_path_.empty()) {
-      obs::set_enabled(true);
-      obs::Registry::global().reset();  // this run's numbers only
-    }
-    if (profile_) {
-      perf::Profiler& profiler = perf::Profiler::global();
-      profiler.reset();
-      // Span export only matters when a trace will be written; skipping
-      // it otherwise keeps --profile's memory footprint flat.
-      profiler.set_span_recording(!trace_path_.empty());
-      perf::set_profiling(true);
-      profiler.begin_window();
-    }
-    // Heartbeat lines log at INFO but the default threshold is WARN;
-    // asking for --heartbeat implies wanting to see them. An explicit
-    // BASRPT_LOG_LEVEL still wins.
-    if (heartbeat_sec_ > 0.0 && std::getenv("BASRPT_LOG_LEVEL") == nullptr &&
-        log_level() > LogLevel::kInfo) {
-      set_log_level(LogLevel::kInfo);
-    }
-  }
-
-  void apply(core::ExperimentConfig& config) {
-    if (!trace_path_.empty()) {
-      config.tracer = &tracer_;
-    }
-    if (!metrics_path_.empty()) {
-      config.instrument_scheduler = true;
-    }
-    if (heartbeat_sec_ > 0.0) {
-      config.heartbeat_wall_sec = heartbeat_sec_;
-    }
-  }
-
-  void apply(switchsim::SlottedConfig& config) {
-    if (!trace_path_.empty()) {
-      config.tracer = &tracer_;
-    }
-    if (heartbeat_sec_ > 0.0) {
-      config.heartbeat_wall_sec = heartbeat_sec_;
-    }
-  }
-
-  /// For harnesses that call run_slotted / run_flow_sim directly.
-  obs::FlowTracer* tracer_or_null() {
-    return trace_path_.empty() ? nullptr : &tracer_;
-  }
-
-  /// Wraps a directly-constructed scheduler in the instrumentation
-  /// decorator when --metrics was requested; a pass-through otherwise.
-  sched::SchedulerPtr wrap(sched::SchedulerPtr scheduler) {
-    if (metrics_path_.empty()) {
-      return scheduler;
-    }
-    return std::make_unique<sched::InstrumentedScheduler>(
-        std::move(scheduler));
-  }
-
-  /// Writes the artifacts. `status` other than "ok" marks a partial
-  /// flush (signal / stall / config-parse failure): metrics carry a
-  /// top-level "status" field and the trace a run_status marker, so
-  /// downstream tooling never mistakes partial numbers for final ones.
-  void finish(const std::string& status = "ok") {
-    if (profile_) {
-      perf::Profiler& profiler = perf::Profiler::global();
-      profiler.end_window();
-      perf::set_profiling(false);
-      if (!trace_path_.empty()) {
-        profiler.export_spans(tracer_);
-        if (profiler.spans_dropped() > 0) {
-          std::fprintf(stderr,
-                       "profile: trace span cap reached; %zu later phase "
-                       "spans not exported (aggregates still cover them)\n",
-                       profiler.spans_dropped());
-        }
-      }
-      if (!profile_path_.empty()) {
-        profiler.write_json_file(profile_path_);
-        std::printf("wrote profile to %s\n", profile_path_.c_str());
-      }
-      print_profile_breakdown(profiler);
-      profile_ = false;  // a second finish() must not reopen the window
-    }
-    if (!metrics_path_.empty()) {
-      report::write_metrics_file(metrics_path_, obs::Registry::global(),
-                                 status);
-      std::printf("wrote metrics to %s\n", metrics_path_.c_str());
-    }
-    if (!trace_path_.empty()) {
-      const bool jsonl =
-          trace_path_.size() >= 6 &&
-          trace_path_.compare(trace_path_.size() - 6, 6, ".jsonl") == 0;
-      if (jsonl) {
-        tracer_.write_jsonl_file(trace_path_, status);
-      } else {
-        tracer_.write_chrome_json_file(trace_path_, status);
-      }
-      std::printf("wrote %zu trace events to %s\n", tracer_.size(),
-                  trace_path_.c_str());
-    }
-  }
-
- private:
-  static void print_profile_breakdown(const perf::Profiler& profiler) {
-    std::fprintf(stderr, "profile: window %.3f s, coverage %.1f%%\n",
-                static_cast<double>(profiler.window_ns()) * 1e-9,
-                profiler.coverage() * 100.0);
-    for (std::size_t p = 0; p < perf::kPhaseCount; ++p) {
-      const auto phase = static_cast<perf::Phase>(p);
-      const perf::PhaseStats s = profiler.stats(phase);
-      if (s.calls == 0) {
-        continue;
-      }
-      std::fprintf(stderr,
-                  "  %-17s %12llu calls  self %9.3f ms  p99 %8.0f ns  "
-                  "allocs %llu\n",
-                  perf::phase_name(phase),
-                  static_cast<unsigned long long>(s.calls),
-                  static_cast<double>(s.self_ns) * 1e-6,
-                  profiler.histogram(phase).quantile(0.99),
-                  static_cast<unsigned long long>(s.allocs));
-    }
-    const perf::PhaseStats u = profiler.unattributed();
-    if (u.allocs > 0) {
-      std::fprintf(stderr, "  %-17s %32s allocs %llu\n", "(unattributed)", "",
-                  static_cast<unsigned long long>(u.allocs));
-    }
-  }
-
-  std::string metrics_path_;
-  std::string trace_path_;
-  std::string profile_path_;
-  bool profile_ = false;
-  double heartbeat_sec_;
-  obs::FlowTracer tracer_;
-};
-
-/// Run-scoped fault wiring for the shared --fault-plan / --fault-seed /
-/// --watchdog flags. Construct after parse_common with the fabric size
-/// and the horizon the bench will simulate (random plans draw their
-/// events over it), then apply() to each config about to run. With no
-/// flags set, apply() is a no-op and outputs stay bit-identical.
-///
-/// DEPRECATED for direct use in benches: bench::RunSession owns one and
-/// forwards apply()/report(); see bench/run_session.hpp.
-class FaultSession {
- public:
-  /// `obs` (optional): flushed with the "interrupted" marker when the
-  /// plan fails to parse, so a sweep that dies on a bad fault file still
-  /// leaves honestly-labelled partial artifacts behind.
-  FaultSession(const CliParser& cli, std::int32_t hosts, SimTime horizon,
-               ObsSession* obs = nullptr)
-      : watchdog_wall_sec_(cli.get_real("watchdog")) {
-    const std::string& spec = cli.get_text("fault-plan");
-    // Plan loading fails like a bad flag would: a clear message and exit
-    // 2, not an uncaught ParseError terminating the process.
-    try {
-      if (spec == "random") {
-        fault::RandomFaultSpec random;
-        random.ports = hosts;
-        random.horizon = horizon.seconds;
-        plan_ = fault::FaultPlan::randomized(
-            random,
-            static_cast<std::uint64_t>(cli.get_integer("fault-seed")));
-      } else if (!spec.empty()) {
-        plan_ = fault::FaultPlan::from_file(spec);
-      }
-    } catch (const ConfigError& e) {
-      std::fprintf(stderr, "error: --fault-plan %s: %s\n", spec.c_str(),
-                   e.what());
-      if (obs != nullptr) {
-        obs->finish("interrupted");
-      }
-      std::exit(2);
-    }
-    if (!plan_.empty()) {
-      std::printf("fault plan: %zu events over [0, %.3g] s\n", plan_.size(),
-                  plan_.span());
-    }
-  }
-
-  bool active() const { return !plan_.empty(); }
-  const fault::FaultPlan& plan() const { return plan_; }
-
-  void apply(core::ExperimentConfig& config) const {
-    if (active()) {
-      config.fault_plan = &plan_;
-    }
-    if (watchdog_wall_sec_ > 0.0) {
-      config.watchdog.stall_wall_sec = watchdog_wall_sec_;
-    }
-  }
-
-  void apply(flowsim::FlowSimConfig& config) const {
-    if (active()) {
-      config.fault_plan = &plan_;
-    }
-    if (watchdog_wall_sec_ > 0.0) {
-      config.watchdog.stall_wall_sec = watchdog_wall_sec_;
-    }
-  }
-
-  /// Prints the fault counters of a finished run (omitted when inactive).
-  void report(const char* label, const fault::FaultStats& stats) const {
-    if (!active()) {
-      return;
-    }
-    std::printf("faults[%s]: %lld transitions, %lld decisions suppressed, "
-                "%lld flows requeued, %lld candidates masked\n",
-                label, static_cast<long long>(stats.transitions),
-                static_cast<long long>(stats.decisions_suppressed),
-                static_cast<long long>(stats.flows_requeued),
-                static_cast<long long>(stats.candidates_masked));
-  }
-
- private:
-  fault::FaultPlan plan_;
-  double watchdog_wall_sec_;
-};
 
 inline void emit(const stats::Table& table, const CliParser& cli) {
   std::printf("%s",

@@ -177,10 +177,8 @@ int main(int argc, char** argv) {
     flowsim::FlowSimConfig config;
     config.fabric = topo::small_fabric(racks, per_rack, 3);
     config.horizon = horizon;
-    config.tracer = tracer;
-    config.heartbeat_wall_sec = cli.get_real("heartbeat");
-    config.paranoid = cli.get_flag("paranoid");
     session.apply(config);
+    config.tracer = tracer;  // this cell's trace shard under --jobs
     auto scheduler = session.wrap(sched::make_scheduler(cell.spec));
     workload::VectorTraffic replay(recorder.recorded());
     const auto r = run_flow_sim(config, *scheduler, replay);

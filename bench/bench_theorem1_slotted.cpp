@@ -48,9 +48,10 @@ int main(int argc, char** argv) {
   mix.large = 24;
   mix.p_small = 0.9;
 
-  // The slotted model has no fault hooks; the fault arguments only size
-  // a --fault-plan=random schedule, which this bench never applies.
-  bench::RunSession session(cli, "theorem1_slotted", n, seconds(1.0));
+  // Slotted fault plans are in slot units: a --fault-plan=random
+  // schedule spans the slot horizon.
+  bench::RunSession session(cli, "theorem1_slotted", n,
+                            seconds(static_cast<double>(horizon)));
 
   stats::Table table({"scheduler", "avg backlog pkts", "avg penalty",
                       "qry avg FCT", "bg avg FCT", "thpt pkt/slot",

@@ -11,8 +11,8 @@
 //    recomputed from its start (its progress is not checkpointable —
 //    the flow-level calendar holds closures).
 //
-//  * Slotted cells (switchsim::run_slotted): additionally support
-//    genuine mid-run capture. The simulator hands out a complete
+//  * Slotted cells (switchsim::run_slotted): at --jobs 1 additionally
+//    support genuine mid-run capture. The simulator hands out a complete
 //    SlottedSimState at slot boundaries (cadence, stall, SIGINT/
 //    SIGTERM); resuming restores it and continues bit-identically.
 //
@@ -24,66 +24,49 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "ckpt/experiment_state.hpp"
 #include "ckpt/manager.hpp"
 #include "ckpt/signal_guard.hpp"
 #include "ckpt/slotted_state.hpp"
 #include "ckpt/snapshot.hpp"
-#include "common/interrupt.hpp"
+#include "common/cli.hpp"
 #include "common/serial.hpp"
-#include "fault/watchdog.hpp"
+#include "exec/sweep.hpp"
 
 namespace basrpt::bench {
 
-/// Options excluded from the resume-compatibility fingerprint: outputs
-/// and robustness toggles that cannot change simulation results.
-/// Anything else — loads, seeds, horizons, fault plans — must match
-/// between the checkpointing and the resuming invocation.
+/// Options excluded from the resume-compatibility fingerprint: outputs,
+/// profiling and robustness toggles that cannot change simulation
+/// results. Anything else — loads, seeds, horizons, fault plans — must
+/// match between the checkpointing and the resuming invocation.
 inline std::vector<std::string> fingerprint_excludes() {
   return {"checkpoint-dir", "checkpoint-every", "resume",   "metrics",
           "trace",          "heartbeat",        "plot-dir", "csv",
-          "watchdog",       "paranoid",         "jobs"};
+          "watchdog",       "paranoid",         "jobs",     "profile",
+          "profile-out"};
 }
 
-/// Hard-fails benches whose work is not organized in resumable cells
-/// (microbenchmarks, validation sweeps over closed-form models). Silent
-/// acceptance would read as "checkpointing worked".
-inline void require_no_checkpoint_flags(const CliParser& cli) {
-  if (!cli.get_text("checkpoint-dir").empty() ||
-      !cli.get_text("resume").empty() ||
-      cli.get_integer("checkpoint-every") != 0) {
-    std::fprintf(stderr,
-                 "error: this bench has no checkpointable work units; "
-                 "--checkpoint-dir/--checkpoint-every/--resume do not "
-                 "apply here\n");
-    std::exit(2);
-  }
-}
-
-/// DEPRECATED for direct use in benches: bench::RunSession owns one and
-/// drives it both sequentially and under --jobs; see
-/// bench/run_session.hpp.
+/// bench::RunSession's private checkpoint store: the resume fingerprint,
+/// replay of the stored cell prefix, commit cadence, atomic writes and
+/// mid-run slotted state. Every mutation happens on the committing
+/// thread in submission order, so a checkpoint file holds a *prefix* of
+/// the sweep regardless of --jobs, and resuming one is indistinguishable
+/// from resuming a sequential run.
 class CheckpointSession {
  public:
-  /// Construct after parse_common and after the ObsSession (partial
-  /// artifacts are flushed through it on interruption). `bench_name` is
-  /// the checkpoint filename stem and must match on resume.
-  CheckpointSession(const CliParser& cli, std::string bench_name,
-                    ObsSession& obs)
-      : cli_(cli),
-        obs_(obs),
-        bench_(std::move(bench_name)),
+  /// Construct after parse_common. `bench_name` is the checkpoint
+  /// filename stem and must match on resume.
+  CheckpointSession(const CliParser& cli, std::string bench_name)
+      : bench_(std::move(bench_name)),
         dir_(cli.get_text("checkpoint-dir")),
         resume_(cli.get_text("resume")),
-        every_(cli.get_integer("checkpoint-every")),
-        paranoid_(cli.get_flag("paranoid")) {
+        every_(cli.get_integer("checkpoint-every")) {
     const std::string canon =
         bench_ + "\n" + cli.canonical_values(fingerprint_excludes());
     fingerprint_ = u64_to_hex(crc32_of(canon)).substr(8);
@@ -109,193 +92,115 @@ class CheckpointSession {
   }
 
   bool enabled() const { return manager_.has_value(); }
-  bool paranoid() const { return paranoid_; }
 
-  /// Runs (or replays) one experiment cell. Labels must be unique and
-  /// arrive in the same order on every invocation — they name the cell
-  /// in the checkpoint.
-  core::ExperimentResult run(const std::string& label,
-                             core::ExperimentConfig config) {
-    config.paranoid = config.paranoid || paranoid_;
-    const std::size_t idx = cells_.size();
-    if (const Stored* stored = stored_cell(idx, "experiment", label)) {
-      core::ExperimentResult r = ckpt::read_experiment_result(
-          *snapshot_, stored->prefix, config.watched_src,
-          config.watched_dst);
-      cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-      std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                   label.c_str());
-      return r;
-    }
-    try {
-      core::ExperimentResult r = core::run_experiment(config);
-      cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-      after_cell();
-      return r;
-    } catch (const InterruptedError& e) {
-      abort_interrupted(e.what(), exit_code(e));
-    } catch (const fault::StallError& e) {
-      std::fprintf(stderr, "stall during cell '%s': %s\n", label.c_str(),
-                   e.what());
-      abort_interrupted("watchdog stall", 3);
-    }
-  }
-
-  /// Runs (or replays) one slotted cell, with mid-run capture/resume.
-  /// `make_stream` must build a *freshly seeded* arrival stream each
-  /// call — resume replays it to the checkpointed pull count.
-  switchsim::SlottedResult run_slotted(
-      const std::string& label, switchsim::SlottedConfig config,
-      sched::Scheduler& scheduler,
-      const std::function<switchsim::ArrivalStream()>& make_stream) {
-    config.paranoid = config.paranoid || paranoid_;
-    const std::size_t idx = cells_.size();
-    if (const Stored* stored = stored_cell(idx, "slotted", label)) {
-      switchsim::SlottedResult r = ckpt::read_slotted_result(
-          *snapshot_, stored->prefix, config.watched_src,
-          config.watched_dst);
-      cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-      std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                   label.c_str());
-      return r;
-    }
-    std::optional<switchsim::SlottedSimState> resume_state;
-    if (snapshot_ && wip_cell_ == static_cast<std::int64_t>(idx)) {
-      if (wip_label_ != label) {
-        mismatch(idx, wip_label_, label);
+  /// Replays the stored prefix of `sweep` from the snapshot (no
+  /// recompute) through each cell's commit callback, hands the first
+  /// unstored cell its mid-run state if the snapshot captured one, and
+  /// returns that cell's index. Labels must be unique and arrive in the
+  /// same order on every invocation — they name the cell in the file.
+  std::size_t replay(exec::Sweep& sweep) {
+    std::size_t i = 0;
+    for (; i < sweep.size() && snapshot_ && i < stored_.size(); ++i) {
+      const exec::Cell& cell = sweep.cell(i);
+      const bool slotted = cell.kind == exec::Cell::Kind::kSlotted;
+      const Stored& s = stored_[i];
+      const std::string kind = slotted ? "slotted" : "experiment";
+      if (s.kind != kind || s.label != cell.label) {
+        mismatch(i, s.kind + " '" + s.label + "'",
+                 kind + " '" + cell.label + "'");
       }
-      resume_state = ckpt::read_slotted_state(*snapshot_);
-      config.resume_from = &*resume_state;
+      exec::CellOutput out;
+      if (slotted) {
+        out.slotted = ckpt::read_slotted_result(*snapshot_, s.prefix,
+                                                cell.slotted.watched_src,
+                                                cell.slotted.watched_dst);
+      } else {
+        out.experiment = ckpt::read_experiment_result(
+            *snapshot_, s.prefix, cell.experiment.watched_src,
+            cell.experiment.watched_dst);
+      }
+      std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
+                   cell.label.c_str());
+      cells_.push_back(Cell{cell.label, out});
+      sweep.commit(i, out);
+    }
+    if (i < sweep.size() && wip_cell_ == static_cast<std::int64_t>(i) &&
+        sweep.cell(i).kind == exec::Cell::Kind::kSlotted) {
+      exec::Cell& cell = sweep.cell(i);
+      if (wip_label_ != cell.label) {
+        mismatch(i, wip_label_, cell.label);
+      }
+      cell.resume_state = std::make_shared<switchsim::SlottedSimState>(
+          ckpt::read_slotted_state(*snapshot_));
       std::fprintf(stderr,
                    "checkpoint: cell '%s' resuming mid-run at slot %lld\n",
-                   label.c_str(),
-                   static_cast<long long>(resume_state->slot));
+                   cell.label.c_str(),
+                   static_cast<long long>(cell.resume_state->slot));
     }
-    if (enabled()) {
-      config.checkpoint_every = every_;  // slots; 0 = interrupt/stall only
-      config.on_checkpoint = [this, idx,
-                              label](const switchsim::SlottedSimState& s) {
-        write_checkpoint(&s, idx, label);
-      };
+    return i;
+  }
+
+  /// Arms mid-run capture on the slotted cells from `first` on: every
+  /// --checkpoint-every slots (0 = interrupt/stall only) the running
+  /// cell's state is written next to the committed prefix. Only valid
+  /// when cells run one at a time on the committing thread (--jobs 1):
+  /// a snapshot of a cell that may commit after its successors cannot
+  /// be ordered.
+  void arm_capture(exec::Sweep& sweep, std::size_t first) {
+    if (!enabled()) {
+      return;
+    }
+    for (std::size_t i = first; i < sweep.size(); ++i) {
+      exec::Cell& cell = sweep.cell(i);
+      if (cell.kind != exec::Cell::Kind::kSlotted) {
+        continue;
+      }
+      cell.slotted.checkpoint_every = every_;
+      cell.slotted.on_checkpoint =
+          [this, label = cell.label](const switchsim::SlottedSimState& s) {
+            write_checkpoint(&s, label);
+          };
+    }
+  }
+
+  /// Ordered commit of a computed cell: records it and honors the
+  /// checkpoint cadence.
+  void record(const exec::Cell& cell, const exec::CellOutput& out) {
+    cells_.push_back(Cell{cell.label, out});
+    wip_newest_ = false;
+    // Cell cadence: --checkpoint-every counts cells for experiment
+    // benches (and doubles as a slot cadence inside slotted runs); 0
+    // means "after every cell".
+    const std::int64_t every_cells = every_ > 0 ? every_ : 1;
+    if (static_cast<std::int64_t>(cells_.size()) % every_cells == 0) {
+      write_checkpoint(nullptr, "");
+    }
+  }
+
+  /// Interruption: persists the committed prefix — unless the running
+  /// cell already wrote its own mid-run state, which must stay the
+  /// newest file.
+  void write_interrupted() {
+    if (wip_newest_) {
+      return;
     }
     try {
-      switchsim::SlottedResult r =
-          switchsim::run_slotted(config, scheduler, make_stream());
-      cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-      after_cell();
-      return r;
-    } catch (const InterruptedError& e) {
-      // The in-run on_checkpoint hook persisted the mid-run state just
-      // before the throw; only artifacts remain to flush.
-      abort_interrupted(e.what(), exit_code(e), /*write=*/!enabled());
-    } catch (const fault::StallError& e) {
-      std::fprintf(stderr, "stall during cell '%s': %s\n", label.c_str(),
-                   e.what());
-      abort_interrupted("watchdog stall", 3, /*write=*/!enabled());
+      write_checkpoint(nullptr, "");
+    } catch (const ConfigError& e) {
+      std::fprintf(stderr, "checkpoint write failed: %s\n", e.what());
     }
-  }
-
-  // ---- Parallel-sweep extension (bench::RunSession's --jobs path) ----
-  //
-  // The serialized commit path: workers compute cells concurrently, but
-  // every mutation of this session — replaying the stored prefix,
-  // recording a finished cell, writing a checkpoint — happens on the
-  // committing thread, in submission order. Checkpoint files therefore
-  // hold a *prefix* of the sweep regardless of --jobs, and resuming one
-  // is indistinguishable from resuming a sequential run.
-
-  /// True while the resume snapshot still holds the finished result of
-  /// the next cell to declare (index cells_.size()).
-  bool next_cell_stored() const {
-    return snapshot_.has_value() && cells_.size() < stored_.size();
-  }
-
-  /// Replays the next cell from the snapshot (call only when
-  /// next_cell_stored()).
-  core::ExperimentResult replay_experiment(
-      const std::string& label, const core::ExperimentConfig& config) {
-    const Stored* stored = stored_cell(cells_.size(), "experiment", label);
-    BASRPT_REQUIRE(stored != nullptr, "no stored cell to replay");
-    core::ExperimentResult r = ckpt::read_experiment_result(
-        *snapshot_, stored->prefix, config.watched_src, config.watched_dst);
-    cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-    std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                 label.c_str());
-    return r;
-  }
-
-  switchsim::SlottedResult replay_slotted(
-      const std::string& label, const switchsim::SlottedConfig& config) {
-    const Stored* stored = stored_cell(cells_.size(), "slotted", label);
-    BASRPT_REQUIRE(stored != nullptr, "no stored cell to replay");
-    switchsim::SlottedResult r = ckpt::read_slotted_result(
-        *snapshot_, stored->prefix, config.watched_src, config.watched_dst);
-    cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-    std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                 label.c_str());
-    return r;
-  }
-
-  /// Mid-run state of the first unstored cell, if the snapshot captured
-  /// one; null otherwise. The label must match the checkpointed wip
-  /// label (a mismatch exits like any other cell-identity mismatch).
-  std::shared_ptr<switchsim::SlottedSimState> take_wip(
-      const std::string& label) {
-    if (!snapshot_ || wip_cell_ != static_cast<std::int64_t>(cells_.size())) {
-      return nullptr;
-    }
-    if (wip_label_ != label) {
-      mismatch(cells_.size(), wip_label_, label);
-    }
-    auto state = std::make_shared<switchsim::SlottedSimState>(
-        ckpt::read_slotted_state(*snapshot_));
-    std::fprintf(stderr,
-                 "checkpoint: cell '%s' resuming mid-run at slot %lld\n",
-                 label.c_str(), static_cast<long long>(state->slot));
-    return state;
-  }
-
-  /// Ordered commit of a cell computed outside this session (on a
-  /// worker): records it and honors the checkpoint cadence exactly as
-  /// the sequential run()/run_slotted() paths do.
-  void commit_experiment(const std::string& label,
-                         const core::ExperimentResult& r) {
-    cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-    after_cell();
-  }
-  void commit_slotted(const std::string& label,
-                      const switchsim::SlottedResult& r) {
-    cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-    after_cell();
-  }
-
-  /// Interruption surfaced by the parallel runner: checkpoints the
-  /// committed prefix, flushes partial artifacts, exits. Mid-run slotted
-  /// capture is a jobs==1 feature, so here there is never wip state.
-  [[noreturn]] void fail_interrupted(const std::string& why, int code) {
-    abort_interrupted(why, code);
-  }
-
-  static int interrupt_exit_code(const InterruptedError& e) {
-    return exit_code(e);
   }
 
  private:
   struct Cell {
-    std::string kind;
     std::string label;
-    std::optional<core::ExperimentResult> experiment;
-    std::optional<switchsim::SlottedResult> slotted;
+    exec::CellOutput out;
   };
   struct Stored {
     std::string kind;
     std::string label;
     std::string prefix;
   };
-
-  static int exit_code(const InterruptedError& e) {
-    return e.signal_number() > 0 ? 128 + e.signal_number() : 3;
-  }
 
   [[noreturn]] void mismatch(std::size_t idx, const std::string& stored,
                              const std::string& current) {
@@ -305,18 +210,6 @@ class CheckpointSession {
                  "or flags?\n",
                  idx, stored.c_str(), current.c_str());
     std::exit(2);
-  }
-
-  const Stored* stored_cell(std::size_t idx, const std::string& kind,
-                            const std::string& label) {
-    if (!snapshot_ || idx >= stored_.size()) {
-      return nullptr;
-    }
-    const Stored& s = stored_[idx];
-    if (s.kind != kind || s.label != label) {
-      mismatch(idx, s.kind + " '" + s.label + "'", kind + " '" + label + "'");
-    }
-    return &s;
   }
 
   void load_resume() {
@@ -385,23 +278,10 @@ class CheckpointSession {
     }
   }
 
-  void after_cell() {
-    if (!enabled()) {
-      return;
-    }
-    // Cell cadence: --checkpoint-every counts cells for experiment
-    // benches (and doubles as a slot cadence inside slotted runs); 0
-    // means "after every cell".
-    const std::int64_t every_cells = every_ > 0 ? every_ : 1;
-    if (static_cast<std::int64_t>(cells_.size()) % every_cells == 0) {
-      write_checkpoint(nullptr, 0, "");
-    }
-  }
-
   /// Serializes completed cells (+ optionally one mid-run slotted state)
   /// and writes them through the manager's atomic path.
   void write_checkpoint(const switchsim::SlottedSimState* wip,
-                        std::size_t wip_idx, const std::string& wip_label) {
+                        const std::string& wip_label) {
     if (!enabled()) {
       return;
     }
@@ -411,7 +291,8 @@ class CheckpointSession {
     meta.text("fingerprint", fingerprint_);
     meta.u64("cells", cells_.size());
     for (const Cell& c : cells_) {
-      meta.text("cell", c.kind + " " + c.label);
+      meta.text("cell", (c.out.experiment ? "experiment " : "slotted ") +
+                            c.label);
     }
     meta.u64("wip", wip != nullptr ? 1 : 0);
     if (wip != nullptr) {
@@ -420,48 +301,26 @@ class CheckpointSession {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       const std::string prefix = "cell" + std::to_string(i);
       const Cell& c = cells_[i];
-      if (c.experiment) {
-        ckpt::write_experiment_result(w, prefix, *c.experiment);
+      if (c.out.experiment) {
+        ckpt::write_experiment_result(w, prefix, *c.out.experiment);
       } else {
-        ckpt::write_slotted_result(w, prefix, *c.slotted);
+        ckpt::write_slotted_result(w, prefix, *c.out.slotted);
       }
     }
-    if (wip != nullptr) {
-      (void)wip_idx;  // position == cells_.size(), recorded via meta
+    if (wip != nullptr) {  // its position is cells_.size(), via meta
       ckpt::write_slotted_state(w, *wip);
     }
     const std::string path = manager_->write(w.str());
+    wip_newest_ = wip != nullptr;
     std::fprintf(stderr, "checkpoint: wrote %s (%zu cells%s)\n",
                  path.c_str(), cells_.size(),
                  wip != nullptr ? " + mid-run state" : "");
   }
 
-  /// Final interruption path: persist what we have, flush partial
-  /// artifacts with the "interrupted" marker, and exit.
-  [[noreturn]] void abort_interrupted(const std::string& why, int code,
-                                      bool write = true) {
-    if (write) {
-      try {
-        write_checkpoint(nullptr, 0, "");
-      } catch (const ConfigError& e) {
-        std::fprintf(stderr, "checkpoint write failed: %s\n", e.what());
-      }
-    }
-    obs_.finish("interrupted");
-    std::fprintf(stderr,
-                 "interrupted (%s): partial artifacts flushed; resume "
-                 "with --resume latest\n",
-                 why.c_str());
-    std::exit(code);
-  }
-
-  const CliParser& cli_;
-  ObsSession& obs_;
   std::string bench_;
   std::string dir_;
   std::string resume_;
   std::int64_t every_;
-  bool paranoid_;
   std::string fingerprint_;
 
   std::optional<ckpt::CheckpointManager> manager_;
@@ -471,6 +330,7 @@ class CheckpointSession {
   std::int64_t wip_cell_ = -1;
   std::string wip_label_;
   std::vector<Cell> cells_;
+  bool wip_newest_ = false;  // the newest file holds a mid-run state
 };
 
 }  // namespace basrpt::bench

@@ -83,34 +83,49 @@ void Sweep::commit(std::size_t i, const CellOutput& out) const {
   }
 }
 
-void Sweep::run(int jobs, obs::FlowTracer* session_tracer) {
+void run_cells(int jobs, std::size_t count, obs::FlowTracer* session_tracer,
+               const std::function<void(std::size_t, obs::FlowTracer*)>& task,
+               const std::function<void(std::size_t)>& commit) {
   CellPool pool(jobs);
-  if (pool.jobs() <= 1 || size() <= 1) {
-    for (std::size_t i = 0; i < size(); ++i) {
-      commit(i, compute(i, nullptr));
-    }
-    return;
-  }
-  // Metrics always shard under parallelism: even with observability
-  // disabled the simulators still *name* metrics in Registry::active()
-  // (creating map nodes), so routing workers at global() would race.
-  const bool shard_metrics = true;
-  const bool shard_trace = session_tracer != nullptr;
-  std::vector<std::unique_ptr<CellArtifacts>> artifacts(size());
-  std::vector<std::optional<CellOutput>> outputs(size());
+  const bool shard = pool.jobs() > 1 && count > 1;
+  std::vector<std::unique_ptr<CellArtifacts>> artifacts(count);
   pool.run(
-      size(),
+      count,
       [&](std::size_t i) {
+        if (!shard) {
+          task(i, session_tracer);
+          return;
+        }
         artifacts[i] =
-            std::make_unique<CellArtifacts>(shard_metrics, shard_trace);
+            std::make_unique<CellArtifacts>(session_tracer != nullptr);
         obs::ScopedRegistryBind bind(artifacts[i]->registry());
-        outputs[i] = compute(i, artifacts[i]->tracer());
+        task(i, artifacts[i]->tracer());
       },
       [&](std::size_t i) {
-        artifacts[i]->absorb(session_tracer);
+        if (shard) {
+          artifacts[i]->absorb(session_tracer);
+          artifacts[i].reset();
+        }
+        commit(i);
+      });
+}
+
+void Sweep::run(
+    int jobs, obs::FlowTracer* session_tracer, std::size_t first,
+    const std::function<void(std::size_t, const CellOutput&)>& before_commit) {
+  std::vector<std::optional<CellOutput>> outputs(size());
+  run_cells(
+      jobs, size() - first, session_tracer,
+      [&](std::size_t k, obs::FlowTracer* tracer) {
+        outputs[first + k] = compute(first + k, tracer);
+      },
+      [&](std::size_t k) {
+        const std::size_t i = first + k;
+        if (before_commit) {
+          before_commit(i, *outputs[i]);
+        }
         commit(i, *outputs[i]);
         outputs[i].reset();
-        artifacts[i].reset();
       });
 }
 

@@ -4,12 +4,16 @@
 // that consumes its result in submission order.
 //
 // A bench declares its cells up front, then hands the Sweep to
-// bench::RunSession::run_sweep (which layers checkpoint/resume and the
-// --jobs flag on top) or to Sweep::run directly (tests, checkpoint-free
-// callers). Cells must be independent: each one's config carries its
-// own seed, and nothing a cell computes may feed another cell's
-// *compute* (commit callbacks may chain state — they always run in
-// order, on one thread).
+// bench::RunSession::run_sweep, which replays any checkpointed prefix
+// and runs the rest through Sweep::run. Cells must be independent: each
+// one's config carries its own seed, and nothing a cell computes may
+// feed another cell's *compute* (commit callbacks may chain state —
+// they always run in order, on one thread).
+//
+// Every sweep, at every --jobs value, goes through one loop: run_cells
+// below. Sweep::run is run_cells over compute/commit; benches whose
+// cells are not experiment/slotted runs (bench_packet_vs_flow's packet
+// replays) call it with their own closures.
 //
 // Seeding: benches that sweep a parameter usually run every cell at the
 // same workload seed so curves are paired. Benches that want distinct
@@ -69,6 +73,18 @@ struct CellOutput {
   std::optional<switchsim::SlottedResult> slotted;
 };
 
+/// The one shard-and-ordered-commit loop. Runs `task(i, tracer)` for i
+/// in [0, count) on a CellPool of `jobs` workers (resolve_jobs
+/// semantics) and `commit(i)` on the calling thread in index order.
+/// Under parallelism each cell records into its own CellArtifacts —
+/// metrics shard bound around the task, `tracer` its trace shard (null
+/// when `session_tracer` is) — absorbed just before commit(i). A
+/// sequential run records straight into the global registry and hands
+/// every task `session_tracer`; the artifacts match byte for byte.
+void run_cells(int jobs, std::size_t count, obs::FlowTracer* session_tracer,
+               const std::function<void(std::size_t, obs::FlowTracer*)>& task,
+               const std::function<void(std::size_t)>& commit);
+
 class Sweep {
  public:
   /// Declares an experiment cell. `commit` is invoked in submission
@@ -87,23 +103,24 @@ class Sweep {
   Cell& cell(std::size_t i) { return cells_[i]; }
   const Cell& cell(std::size_t i) const { return cells_[i]; }
 
+  /// Invokes cell i's commit callback (committer side).
+  void commit(std::size_t i, const CellOutput& out) const;
+
+  /// Computes cells [first, size()) through run_cells at `jobs`, with
+  /// per-cell tracers merged into `session_tracer` when non-null. Each
+  /// cell's `before_commit` hook (the checkpoint store's record) and
+  /// then its commit callback run in submission order on this thread.
+  void run(int jobs, obs::FlowTracer* session_tracer = nullptr,
+           std::size_t first = 0,
+           const std::function<void(std::size_t, const CellOutput&)>&
+               before_commit = nullptr);
+
+ private:
   /// Computes cell i (worker side). When `cell_tracer` is non-null it
   /// replaces the cell config's tracer (the per-cell shard); the
   /// config's own tracer pointer is used as-is otherwise.
   CellOutput compute(std::size_t i, obs::FlowTracer* cell_tracer) const;
 
-  /// Invokes cell i's commit callback (committer side).
-  void commit(std::size_t i, const CellOutput& out) const;
-
-  /// Runs every cell at `jobs` (resolve_jobs semantics) without any
-  /// checkpoint layer: per-cell metric shards when obs::enabled(),
-  /// per-cell tracers merged into `session_tracer` when non-null,
-  /// commits in submission order. Benches with checkpoint support go
-  /// through bench::RunSession::run_sweep instead, which reuses the
-  /// same pool and artifact plumbing.
-  void run(int jobs, obs::FlowTracer* session_tracer = nullptr);
-
- private:
   std::vector<Cell> cells_;
 };
 

@@ -15,10 +15,12 @@
 //    pay one relaxed load per allocation while counting is off.
 //
 // Threading contract: phase timing accumulates into plain (unsynchronized)
-// globals and is therefore *sequential-run only* — bench::RunSession
-// rejects --profile with --jobs > 1. Allocation counters are relaxed
-// atomics and are safe from any thread at any time (allocations escape
-// to worker threads even in "sequential" benches).
+// globals and is therefore *single-threaded only*. bench::RunSession
+// rejects --profile with --jobs > 1; at --jobs 1 exec::run_cells runs
+// every sweep cell on the calling thread, so the whole sweep is
+// profiled. Allocation counters are relaxed atomics and are safe from
+// any thread at any time (helper threads, such as the chaos link's
+// proxy loop, allocate too).
 #pragma once
 
 #include <cstddef>
