@@ -1,8 +1,6 @@
 #include "matching/greedy.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -70,187 +68,10 @@ constexpr std::uint32_t kRadixBins = 1u << kRadixBits;
 constexpr std::uint32_t kRadixMask = kRadixBins - 1;
 constexpr std::size_t kRadixPasses = 4;
 
-/// Bucket-sort tuning. Half a bucket per candidate (power of two,
-/// clamped) spreads a uniform-in-value score distribution to ~2 records
-/// per bucket; the insertion sweep then pays O(n), and the histogram +
-/// prefix pass touches half the bucket array a full-size table would.
-/// Buckets the distribution overloads past kBigBucket records are
-/// pre-sorted outright — the sweep's quadratic-in-run cost never sees a
-/// long run.
-constexpr std::size_t kMinBuckets = 64;
-constexpr std::size_t kMaxBuckets = 16384;
-constexpr std::uint32_t kBigBucket = 32;
-
-/// Strided sample size for fitting the bucket map. 128 sorted samples
-/// locate the bulk of the distribution (outliers the sample misses just
-/// clamp into the edge buckets) and expose a dominant gap when the
-/// scores are bimodal.
-constexpr std::size_t kSampleCount = 128;
-
-/// Per-piece map slope: buckets / sample range. A degenerate piece (all
-/// sampled values equal) gets slope 1.0 — any finite positive slope is
-/// valid, the clamps keep the map monotone — so the kernels never see a
-/// 0 * inf = NaN. A subnormal-range piece whose slope overflows is
-/// rejected by returning 0.0 (caller falls back to radix).
-double piece_slope(double range, double buckets) {
-  if (range <= 0.0) {
-    return 1.0;
-  }
-  const double inv = buckets / range;
-  if (!std::isfinite(inv) || inv <= 0.0) {
-    return 0.0;
-  }
-  return inv;
-}
-
 }  // namespace
-
-bool GreedyMatcher::sort_recs_bucket(const double* score, const PortId* left,
-                                     const PortId* right,
-                                     const std::int64_t* payload,
-                                     std::size_t n) {
-  // Fit the map to a sorted strided sample instead of a full min/max
-  // scan: the sample bounds are robust enough (clamps catch what it
-  // misses), and the sorted sample's largest adjacent gap tells us
-  // whether one linear piece suffices or the distribution is bimodal
-  // (threshold-SRPT keys sit in two clusters a class offset apart, which
-  // would pile every record into two buckets of a single-piece map).
-  samples_.resize(kSampleCount);
-  for (std::size_t i = 0; i < kSampleCount; ++i) {
-    samples_[i] = score[i * n / kSampleCount];
-  }
-  std::sort(samples_.begin(), samples_.end());
-  const double slo = samples_.front();
-  const double shi = samples_.back();
-  const double range = shi - slo;
-  if (!(std::isfinite(range) && range > 0.0)) {
-    return false;  // all-equal sample or overflowing spread
-  }
-
-  const auto nb = static_cast<std::uint32_t>(std::clamp<std::size_t>(
-      std::bit_ceil(n) / 2, kMinBuckets, kMaxBuckets));
-
-  std::size_t gap_at = 0;
-  double gap = 0.0;
-  for (std::size_t i = 0; i + 1 < kSampleCount; ++i) {
-    const double g = samples_[i + 1] - samples_[i];
-    if (g > gap) {
-      gap = g;
-      gap_at = i;
-    }
-  }
-
-  bidx_.resize(n);
-  if (gap >= 0.5 * range) {
-    // Two clusters separated by a dominant gap: give each its own
-    // linear piece, with buckets split in proportion to the sample mass
-    // on each side. cap0 < base1 <= cap keeps the map monotone.
-    const std::size_t lo_mass = gap_at + 1;
-    const double lo0 = slo;
-    const double hi0 = samples_[gap_at];
-    const double lo1 = samples_[gap_at + 1];
-    const double hi1 = shi;
-    const auto base1 = static_cast<std::uint32_t>(std::clamp<std::size_t>(
-        (static_cast<std::size_t>(nb) * lo_mass) / kSampleCount, 1,
-        static_cast<std::size_t>(nb) - 1));
-    const double inv0 =
-        piece_slope(hi0 - lo0, static_cast<double>(base1));
-    const double inv1 =
-        piece_slope(hi1 - lo1, static_cast<double>(nb - base1));
-    if (inv0 == 0.0 || inv1 == 0.0) {
-      return false;
-    }
-    simd::bucket_indexes_2piece(score, lo1, lo0, inv0, base1 - 1, lo1, inv1,
-                                base1, nb - 1, n, bidx_.data());
-  } else {
-    const double inv = piece_slope(range, static_cast<double>(nb));
-    if (inv == 0.0) {
-      return false;
-    }
-    simd::bucket_indexes(score, slo, inv, nb - 1, n, bidx_.data());
-  }
-
-  hist_.assign(nb, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ++hist_[bidx_[i]];
-  }
-
-  std::uint32_t sum = 0;
-  std::uint32_t maxb = 0;
-  for (std::uint32_t b = 0; b < nb; ++b) {
-    const std::uint32_t count = hist_[b];
-    if (count > maxb) {
-      maxb = count;
-    }
-    hist_[b] = sum;  // becomes the scatter's write cursor
-    sum += count;
-  }
-  // A distribution the piecewise map still cannot spread (heavy
-  // duplicate mass, log-spread scores) piles most records into a few
-  // buckets and the sort degenerates to comparison sorting those piles —
-  // radix handles that shape in guaranteed linear passes instead.
-  if (maxb > n / 4) {
-    return false;
-  }
-
-  // Bucket boundaries are only needed to pre-sort overloaded buckets;
-  // the usual spread-out case (every bucket <= kBigBucket) skips the
-  // starts_ pass entirely — the insertion sweep needs no boundaries.
-  const bool any_big = maxb > kBigBucket;
-  if (any_big) {
-    starts_.resize(nb + 1);
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      starts_[b] = hist_[b];
-    }
-    starts_[nb] = sum;
-  }
-
-  recs_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    recs_[hist_[bidx_[i]]++] =
-        Rec{score[i], static_cast<std::uint32_t>(i),
-            static_cast<std::uint16_t>(left[i]),
-            static_cast<std::uint16_t>(right[i])};
-  }
-
-  const auto less = [&](const Rec& a, const Rec& b) {
-    if (a.score != b.score) {
-      return a.score < b.score;
-    }
-    return payload[a.idx] < payload[b.idx];
-  };
-
-  if (any_big) {
-    for (std::uint32_t b = 0; b < nb; ++b) {
-      if (starts_[b + 1] - starts_[b] > kBigBucket) {
-        std::sort(recs_.begin() + starts_[b], recs_.begin() + starts_[b + 1],
-                  less);
-      }
-    }
-  }
-
-  // The piecewise map is monotone and equal scores share a bucket, so
-  // every remaining inversion is intra-bucket: one adaptive insertion
-  // sweep costs O(n + inversions) and lands the exact (score, payload)
-  // order.
-  for (std::size_t i = 1; i < n; ++i) {
-    if (!less(recs_[i], recs_[i - 1])) {
-      continue;
-    }
-    const Rec t = recs_[i];
-    std::size_t j = i;
-    do {
-      recs_[j] = recs_[j - 1];
-      --j;
-    } while (j > 0 && less(t, recs_[j - 1]));
-    recs_[j] = t;
-  }
-  return true;
-}
 
 void GreedyMatcher::sort_recs_radix(const double* score,
                                     const std::int64_t* payload,
-                                    const PortId* left, const PortId* right,
                                     std::size_t n) {
   rrecs_a_.resize(n);
   rrecs_b_.resize(n);
@@ -260,9 +81,7 @@ void GreedyMatcher::sort_recs_radix(const double* score,
   std::memset(hist, 0, sizeof(hist));
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t key = coarse_score_key(score[i]);
-    rrecs_a_[i] = {key, static_cast<std::uint16_t>(left[i]),
-                   static_cast<std::uint16_t>(right[i]),
-                   static_cast<std::uint32_t>(i)};
+    rrecs_a_[i] = {key, static_cast<std::uint32_t>(i)};
     ++hist[0][key & kRadixMask];
     ++hist[1][(key >> kRadixBits) & kRadixMask];
     ++hist[2][(key >> (2 * kRadixBits)) & kRadixMask];
@@ -354,47 +173,28 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
   // selection, and on dense candidate sets most of the tail is skipped.
   const std::size_t max_accept =
       static_cast<std::size_t>(n_left < n_right ? n_left : n_right);
-  std::size_t accepted = 0;
-
-  if (n_left > 0xffff || n_right > 0xffff) {
-    // Ports don't fit the 16-bit record fields: comparison-sort an index
-    // permutation instead. Cold path — no real fabric has 64k ports.
-    perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
-    order_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      order_[i] = static_cast<std::uint32_t>(i);
-    }
-    std::sort(order_.begin(), order_.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (score[a] != score[b]) {
-                  return score[a] < score[b];
-                }
-                return payload[a] < payload[b];
-              });
-    for (const std::uint32_t i : order_) {
-      const auto l = static_cast<std::size_t>(left[i]);
-      const auto r = static_cast<std::size_t>(right[i]);
+  const auto accept = [&](const auto& recs) {
+    std::size_t accepted = 0;
+    for (const auto& e : recs) {
+      const auto l = static_cast<std::size_t>(left[e.idx]);
+      const auto r = static_cast<std::size_t>(right[e.idx]);
       if (!left_used_[l] && !right_used_[r]) {
         left_used_[l] = 1;
         right_used_[r] = 1;
-        out.push_back(payload[i]);
+        out.push_back(payload[e.idx]);
         if (++accepted == max_accept) {
-          break;
+          return;
         }
       }
     }
-    return;
-  }
+  };
 
-  bool in_recs = true;
-  {
-    perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
-    if (n < kRadixThreshold) {
+  if (n < kRadixThreshold) {
+    {
+      perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
       recs_.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
-        recs_[i] = Rec{score[i], static_cast<std::uint32_t>(i),
-                       static_cast<std::uint16_t>(left[i]),
-                       static_cast<std::uint16_t>(right[i])};
+        recs_[i] = Rec{score[i], static_cast<std::uint32_t>(i)};
       }
       std::sort(recs_.begin(), recs_.end(),
                 [&](const Rec& a, const Rec& b) {
@@ -403,54 +203,15 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
                   }
                   return payload[a.idx] < payload[b.idx];
                 });
-    } else if (!sort_recs_bucket(score, left, right, payload, n)) {
-      sort_recs_radix(score, payload, left, right, n);
-      in_recs = false;
     }
-  }
-
-  if (in_recs) {
-    for (const Rec& e : recs_) {
-      if (!left_used_[e.left] && !right_used_[e.right]) {
-        left_used_[e.left] = 1;
-        right_used_[e.right] = 1;
-        out.push_back(payload[e.idx]);
-        if (++accepted == max_accept) {
-          break;
-        }
-      }
-    }
+    accept(recs_);
   } else {
-    for (const RadixRec& e : rrecs_a_) {
-      if (!left_used_[e.left] && !right_used_[e.right]) {
-        left_used_[e.left] = 1;
-        right_used_[e.right] = 1;
-        out.push_back(payload[e.idx]);
-        if (++accepted == max_accept) {
-          break;
-        }
-      }
+    {
+      perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
+      sort_recs_radix(score, payload, n);
     }
+    accept(rrecs_a_);
   }
-}
-
-void GreedyMatcher::match_into(const std::vector<ScoredCandidate>& candidates,
-                               PortId n_left, PortId n_right,
-                               std::vector<std::int64_t>& out) {
-  const std::size_t n = candidates.size();
-  score_s_.resize(n);
-  left_s_.resize(n);
-  right_s_.resize(n);
-  payload_s_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ScoredCandidate& c = candidates[i];
-    score_s_[i] = c.score;
-    left_s_[i] = c.left;
-    right_s_[i] = c.right;
-    payload_s_[i] = c.payload;
-  }
-  match_lanes_into(score_s_.data(), left_s_.data(), right_s_.data(),
-                   payload_s_.data(), n, n_left, n_right, out);
 }
 
 }  // namespace basrpt::matching

@@ -48,7 +48,7 @@ enum class Phase : std::uint8_t {
   kCheckpointWrite = 6, // ckpt::CheckpointManager durable write
   kMeasuredOp = 7,      // perf::measure_op timed operation
   kScoreKernel = 8,     // simd score-key computation over candidate lanes
-  kMatchSort = 9,       // GreedyMatcher candidate ordering (bucket/radix)
+  kMatchSort = 9,       // GreedyMatcher candidate ordering (sort/radix)
   kCount
 };
 constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);

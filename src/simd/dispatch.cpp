@@ -113,19 +113,6 @@ void compute_keys(KeyOp op, double p0, double p1, const double* sr,
   detail::active_table().compute_keys(op, p0, p1, sr, backlog, n, out);
 }
 
-void bucket_indexes(const double* x, double mn, double inv, std::uint32_t cap,
-                    std::size_t n, std::uint32_t* out) {
-  detail::active_table().bucket_indexes(x, mn, inv, cap, n, out);
-}
-
-void bucket_indexes_2piece(const double* x, double split, double lo0,
-                           double inv0, std::uint32_t cap0, double lo1,
-                           double inv1, std::uint32_t base1, std::uint32_t cap,
-                           std::size_t n, std::uint32_t* out) {
-  detail::active_table().bucket_indexes_2piece(x, split, lo0, inv0, cap0, lo1,
-                                               inv1, base1, cap, n, out);
-}
-
 bool bounds_ok_i32(const std::int32_t* x, std::size_t n, std::int32_t limit) {
   return detail::active_table().bounds_ok_i32(x, n, limit);
 }

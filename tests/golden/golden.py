@@ -22,6 +22,9 @@ CASES = {
     "fig1_example": ["bench_fig1_example"],
     "theorem1_slotted": ["bench_theorem1_slotted", "--slots", "3000"],
     "fig5_stability": ["bench_fig5_stability", "--horizon", "0.3"],
+    "fig2_motivation": ["bench_fig2_motivation", "--horizon", "0.3"],
+    "fig6_loads": ["bench_fig6_loads", "--horizon", "0.3"],
+    "table1_fct": ["bench_table1_fct", "--horizon", "0.3"],
 }
 
 

@@ -86,6 +86,27 @@ TEST(Greedy, BlockedPortsSkipCandidates) {
   EXPECT_EQ(result.selected_payloads[0], 2);
 }
 
+// Splits AoS candidates into the SoA lanes GreedyMatcher takes and runs
+// one match.
+void match_candidates(GreedyMatcher& matcher,
+                      const std::vector<ScoredCandidate>& candidates,
+                      PortId n_left, PortId n_right,
+                      std::vector<std::int64_t>& selected) {
+  std::vector<double> score;
+  std::vector<PortId> left;
+  std::vector<PortId> right;
+  std::vector<std::int64_t> payload;
+  for (const ScoredCandidate& c : candidates) {
+    score.push_back(c.score);
+    left.push_back(c.left);
+    right.push_back(c.right);
+    payload.push_back(c.payload);
+  }
+  matcher.match_lanes_into(score.data(), left.data(), right.data(),
+                           payload.data(), candidates.size(), n_left,
+                           n_right, selected);
+}
+
 // Oracle check for GreedyMatcher: whichever sort path a call takes, it
 // must pick exactly the payloads greedy_maximal's stable_sort picks, in
 // the same order.
@@ -94,7 +115,7 @@ void expect_matcher_matches_oracle(std::vector<ScoredCandidate> candidates,
   const GreedyResult oracle = greedy_maximal(candidates, n_left, n_right);
   GreedyMatcher matcher;
   std::vector<std::int64_t> selected;
-  matcher.match_into(candidates, n_left, n_right, selected);
+  match_candidates(matcher, candidates, n_left, n_right, selected);
   EXPECT_EQ(selected, oracle.selected_payloads);
 }
 
@@ -128,13 +149,11 @@ TEST(Greedy, MatcherRadixMatchesStableSortOracle) {
 
 TEST(Greedy, MatcherBimodalScoresMatchOracle) {
   // Threshold-SRPT-shaped keys: two clusters a class offset (1e12)
-  // apart, plus 1% outliers outside both. Both seeds split the sampled
-  // bucket map at its dominant gap. On seed 17 the 2-piece map spreads
-  // the records, and outliers clamp into the edge buckets without
-  // disturbing the order. On seed 5 a sampled outlier makes the widest
-  // gap, so one piece spans both clusters, piles them into two
-  // buckets, and the matcher falls back to radix. Both must match the
-  // oracle.
+  // apart, plus 1% outliers outside both. The clusters differ in
+  // exponent, so their coarse radix keys never interleave; inside the
+  // 1e12 cluster the coarse keys (2^19 apart) collide for most records,
+  // leaving long runs for the exact fix-up sort. Both seeds must match
+  // the oracle.
   for (std::uint64_t seed : {5u, 17u}) {
     Rng rng(seed);
     const PortId ports = 48;
@@ -156,9 +175,9 @@ TEST(Greedy, MatcherBimodalScoresMatchOracle) {
 
 TEST(Greedy, MatcherSortedInputMatchesOracle) {
   // Input that arrives in selection order gets no shortcut: it is
-  // sorted like any other (the bucket sweep finds no inversions). Runs
-  // of equal scores exercise the payload tiebreak, and one swapped pair
-  // of tie payloads must be put back in payload order.
+  // sorted like any other. Runs of equal scores share a coarse key and
+  // exercise the payload tiebreak, and one swapped pair of tie payloads
+  // must be put back in payload order.
   Rng rng(29);
   const PortId ports = 32;
   for (const bool scramble_tie_payloads : {false, true}) {
@@ -179,9 +198,9 @@ TEST(Greedy, MatcherSortedInputMatchesOracle) {
 }
 
 TEST(Greedy, MatcherLogSpreadScoresMatchOracle) {
-  // Scores spanning ~50 orders of magnitude pile nearly everything into
-  // the bottom buckets of any linear map — the radix fallback must
-  // engage and still land the exact order.
+  // Scores spanning ~50 orders of magnitude: every radix digit of the
+  // coarse key varies, so no pass is skipped, and the exact order must
+  // still land.
   Rng rng(31);
   const PortId ports = 48;
   std::vector<ScoredCandidate> candidates;
@@ -216,29 +235,31 @@ TEST(Greedy, MatcherComparisonPathMatchesOracleBelowThreshold) {
 }
 
 TEST(Greedy, MatcherHugePortCountsMatchOracle) {
-  // Port counts past 65535 do not fit the 16-bit sort records, so the
-  // matcher comparison-sorts an index permutation instead. Ports x and
-  // x + 65536 share their low 16 bits: a matcher that truncated them
-  // would see false conflicts and reject winners the oracle keeps.
+  // Port counts past 65535 on both sort paths (one input below the
+  // radix threshold, one above). Ports x and x + 65536 share their low
+  // 16 bits: a matcher that truncated them would see false conflicts
+  // and reject winners the oracle keeps.
   const PortId ports = 70000;
   Rng rng(37);
-  std::vector<ScoredCandidate> candidates;
-  for (int k = 0; k < 2000; ++k) {
-    const auto port = [&] {
-      return static_cast<PortId>(rng.uniform_int(0, 63) +
-                                 (rng.bernoulli(0.5) ? 65536 : 0));
-    };
-    ScoredCandidate c;
-    c.left = port();
-    c.right = port();
-    c.score = rng.bernoulli(0.2)
-                  ? static_cast<double>(rng.uniform_int(0, 4))  // ties
-                  : rng.uniform(0.0, 1e6);
-    c.payload = k;
-    candidates.push_back(c);
+  for (const std::size_t n : {std::size_t{2000},
+                              GreedyMatcher::kRadixThreshold / 2}) {
+    std::vector<ScoredCandidate> candidates;
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto port = [&] {
+        return static_cast<PortId>(rng.uniform_int(0, 63) +
+                                   (rng.bernoulli(0.5) ? 65536 : 0));
+      };
+      ScoredCandidate c;
+      c.left = port();
+      c.right = port();
+      c.score = rng.bernoulli(0.2)
+                    ? static_cast<double>(rng.uniform_int(0, 4))  // ties
+                    : rng.uniform(0.0, 1e6);
+      c.payload = static_cast<std::int64_t>(k);
+      candidates.push_back(c);
+    }
+    expect_matcher_matches_oracle(std::move(candidates), ports, ports);
   }
-  ASSERT_GE(candidates.size(), GreedyMatcher::kRadixThreshold);
-  expect_matcher_matches_oracle(std::move(candidates), ports, ports);
 }
 
 TEST(Greedy, MatcherReusedAcrossCallsStaysExact) {
@@ -257,7 +278,7 @@ TEST(Greedy, MatcherReusedAcrossCallsStaysExact) {
            rng.uniform(0.0, 100.0), static_cast<std::int64_t>(k)});
     }
     const GreedyResult oracle = greedy_maximal(candidates, 32, 32);
-    matcher.match_into(candidates, 32, 32, selected);
+    match_candidates(matcher, candidates, 32, 32, selected);
     EXPECT_EQ(selected, oracle.selected_payloads);
   }
 }

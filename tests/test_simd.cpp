@@ -87,62 +87,6 @@ TEST(Kernels, ComputeKeysVariantsBitIdentical) {
   }
 }
 
-TEST(Kernels, BucketIndexesVariantsBitIdentical) {
-  Rng rng(14);
-  for (const std::size_t n : kLens) {
-    std::vector<double> x = random_lane(rng, n);
-    // mn is a robust (sampled) bound: some values land below it and must
-    // take the low clamp; the scale pushes others past the cap.
-    const double mn = 0.0;
-    const double inv = 1e-3;
-    const std::uint32_t cap = 1023;
-    std::vector<std::uint32_t> ref(n), got(n);
-    detail::scalar_table().bucket_indexes(x.data(), mn, inv, cap, n,
-                                          ref.data());
-    for (const auto* t : available_tables()) {
-      t->bucket_indexes(x.data(), mn, inv, cap, n, got.data());
-      EXPECT_EQ(ref, got) << "n=" << n;
-    }
-  }
-}
-
-TEST(Kernels, BucketIndexes2PieceVariantsBitIdentical) {
-  Rng rng(15);
-  for (const std::size_t n : kLens) {
-    std::vector<double> x(n);
-    for (auto& v : x) {
-      // Bimodal: a low cluster and a high cluster an offset apart, plus
-      // outliers outside both sampled ranges to hit the clamps.
-      v = rng.uniform(0.0, 1e6) + (rng.bernoulli(0.5) ? 0.0 : 1e12);
-      if (rng.bernoulli(0.05)) {
-        v = rng.bernoulli(0.5) ? -5e5 : 2e12;
-      }
-    }
-    const double split = 1e12;
-    const std::uint32_t cap = 2047;
-    const std::uint32_t base1 = 1024;
-    const double inv0 = static_cast<double>(base1) / 1e6;
-    const double inv1 = static_cast<double>(cap + 1 - base1) / 1e6;
-    std::vector<std::uint32_t> ref(n), got(n);
-    detail::scalar_table().bucket_indexes_2piece(
-        x.data(), split, 0.0, inv0, base1 - 1, split, inv1, base1, cap, n,
-        ref.data());
-    for (const auto* t : available_tables()) {
-      t->bucket_indexes_2piece(x.data(), split, 0.0, inv0, base1 - 1, split,
-                               inv1, base1, cap, n, got.data());
-      EXPECT_EQ(ref, got) << "n=" << n;
-    }
-    // The map must be monotone in the input for every variant.
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return x[a] < x[b]; });
-    for (std::size_t k = 1; k < n; ++k) {
-      EXPECT_LE(ref[order[k - 1]], ref[order[k]]);
-    }
-  }
-}
-
 TEST(Kernels, BoundsOkI32VariantsAgree) {
   for (const std::size_t n : kLens) {
     std::vector<std::int32_t> x(n, 7);
@@ -249,9 +193,9 @@ TEST(Dispatch, ParseIsaAcceptsTheListedNamesOnly) {
 // ------------------------------------------------- scheduler differential
 
 /// Builds a randomized candidate set as SoA lanes. Shapes stress the
-/// matcher's sort paths: near-sorted scores (few inversions for the
-/// insertion sweep), exact ties with ±0.0, and a bimodal threshold-style
-/// spread (2-piece bucket map).
+/// matcher's sort paths: near-sorted scores, exact ties with ±0.0 (the
+/// payload tiebreak and the radix sort's coarse-key runs), and a bimodal
+/// threshold-style spread two clusters a class offset apart.
 sched::CandidateSoA make_grid(Rng& rng, std::size_t n, sched::PortId ports,
                               int shape) {
   sched::CandidateSoA soa;
