@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (warnings-as-errors build + full test suite),
 # then tier-2 (AddressSanitizer + UBSan build + full test suite, fault
-# and kill-and-resume soaks, and a ThreadSanitizer parallel-sweep
-# determinism check).
+# soak, --paranoid certified-rate differential, kill-and-resume soak,
+# and a ThreadSanitizer parallel-sweep determinism check).
 #
 #   scripts/ci.sh            # all stages
 #   scripts/ci.sh --tier1    # build + ctest only
@@ -104,6 +104,19 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   ./build-asan/bench/bench_fault_resilience --horizon 0.5 --watchdog 120
   ./build-asan/bench/bench_fig5_stability \
       --horizon 0.4 --fault-plan=random --fault-seed 7 --watchdog 120
+
+  # Certified-rate differential over whole figure runs: --paranoid
+  # re-solves every single-round-certified serving set with route_into +
+  # MaxMinSolver and aborts on any bitwise difference, and the CSV must
+  # still match its golden. fig6 runs fluid spray, the certified case;
+  # ablation_routing adds ECMP, where collisions take the fallback.
+  echo "==== tier 2: certified-rate differential (ASan/UBSan, --paranoid) ===="
+  for case in fig6_loads ablation_routing; do
+    ./build-asan/bench/bench_$case --horizon 0.3 --paranoid --csv \
+        | diff "tests/golden/$case.out" - \
+        || { echo "paranoid: $case diverges from its golden" >&2; exit 1; }
+    echo "paranoid: $case rates and CSV bit-identical"
+  done
 
   # Kill-and-resume soak: SIGKILL a checkpointing bench the moment its
   # first checkpoint lands, resume from the newest file, and require the

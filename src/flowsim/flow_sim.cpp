@@ -2,7 +2,9 @@
 #include "flowsim/online.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iomanip>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -17,7 +19,7 @@
 #include "obs/metrics.hpp"
 #include "perf/profiler.hpp"
 #include "sim/engine.hpp"
-#include "topo/maxmin.hpp"
+#include "topo/fabric_rates.hpp"
 
 namespace basrpt::flowsim {
 
@@ -480,6 +482,26 @@ class Engine {
     }
   }
 
+  /// --paranoid rate differential: a certified single-round answer must
+  /// equal route_into + MaxMinSolver bit for bit.
+  void check_certified_rates() {
+    rate_solver_.solve_general_into(serving_ends_.data(),
+                                    serving_ends_.size(), reference_rates_);
+    for (std::size_t k = 0; k < rates_.size(); ++k) {
+      if (std::bit_cast<std::uint64_t>(rates_[k].bits_per_sec) !=
+          std::bit_cast<std::uint64_t>(reference_rates_[k].bits_per_sec)) {
+        std::ostringstream os;
+        os << std::setprecision(17)
+           << "flowsim: certified max-min rates differ from progressive "
+              "filling over a serving set of "
+           << rates_.size() << " flows, first at index " << k
+           << " (certified " << rates_[k].bits_per_sec << " b/s, solver "
+           << reference_rates_[k].bits_per_sec << " b/s)";
+        throw fault::InvariantError(os.str());
+      }
+    }
+  }
+
   /// Recomputes the serving set and rates; called on every arrival and
   /// completion, per the paper.
   void reschedule() {
@@ -502,25 +524,23 @@ class Engine {
       return;
     }
 
-    // Max-min fair rates over the fabric for the serving set. The
-    // demand buffer only ever grows (entries past to_serve.size() are
-    // stale but unread), so the inner path vectors — and the solver's
-    // scratch — are reused verbatim: zero allocations once warmed.
-    if (demands_.size() < to_serve.size()) {
-      demands_.resize(to_serve.size());
-    }
+    // Max-min fair rates over the fabric for the serving set: usually
+    // certified in one filling round from link counts, else routed and
+    // solved (topo::FabricRates). Both paths reuse persistent buffers.
     serving_slots_.clear();
-    for (std::size_t k = 0; k < to_serve.size(); ++k) {
-      const FlowId id = to_serve[k];
+    serving_ends_.clear();
+    for (const FlowId id : to_serve) {
       const queueing::FlowSlot slot = voqs_.slot_of(id);
       const queueing::Flow& f = voqs_.flow_at(slot);
-      fabric_.route_into(f.src, f.dst, static_cast<std::uint64_t>(id),
-                         demands_[k].path);
-      demands_[k].cap = Rate{0.0};
       serving_slots_.push_back(slot);
+      serving_ends_.push_back(
+          {f.src, f.dst, static_cast<std::uint64_t>(id)});
     }
-    solver_.solve_into(demands_.data(), to_serve.size(),
-                       fabric_.capacities(), rates_);
+    if (rate_solver_.solve_into(serving_ends_.data(), serving_ends_.size(),
+                                rates_) &&
+        config_.paranoid) {
+      check_certified_rates();
+    }
 
     SimTime earliest{std::numeric_limits<double>::infinity()};
     FlowId earliest_flow = queueing::kInvalidFlow;
@@ -576,10 +596,11 @@ class Engine {
   sim::Engine events_;
   sched::Decision decision_;
   std::vector<Serving> serving_;
-  std::vector<topo::FlowDemand> demands_;  // grow-only; see reschedule()
+  topo::FabricRates rate_solver_{fabric_};
   std::vector<queueing::FlowSlot> serving_slots_;  // reschedule scratch
+  std::vector<topo::FlowEnds> serving_ends_;       // reschedule scratch
   std::vector<Rate> rates_;
-  topo::MaxMinSolver solver_;
+  std::vector<Rate> reference_rates_;  // --paranoid differential scratch
   std::unique_ptr<fault::FaultInjector> injector_;  // null = fault-free
   fault::Watchdog watchdog_;
   fault::InvariantAuditor auditor_{"flowsim"};

@@ -76,6 +76,39 @@ class ChunkedIndex {
     }
   }
 
+  /// Moves the entry (old_key, id) to (new_key, id); asserts presence.
+  /// When the new pair still sorts between the entry's neighbours (which
+  /// may sit in adjacent chunks) the key is rewritten in place, O(1)
+  /// after the lookup; otherwise this is erase + insert. A flow that
+  /// shrinks while it heads its VOQ always takes the in-place path.
+  void rekey(Key old_key, Key new_key, FlowId id, FlowSlot slot) {
+    BASRPT_ASSERT(size_ > 0, "rekey in empty index");
+    // The common case, the front entry, needs no search.
+    std::size_t c = 0;
+    auto it = chunks_.front().begin();
+    if (!equivalent(*it, old_key, id)) {
+      c = chunk_for(old_key, id);
+      it = lower_bound(chunks_[c], old_key, id);
+    }
+    std::vector<Entry>& chunk = chunks_[c];
+    BASRPT_ASSERT(it != chunk.end() && equivalent(*it, old_key, id),
+                  "flow missing from ordered index");
+    const Entry* prev = it != chunk.begin() ? &*(it - 1)
+                        : c > 0             ? &chunks_[c - 1].back()
+                                            : nullptr;
+    const Entry* next = it + 1 != chunk.end()    ? &*(it + 1)
+                        : c + 1 < chunks_.size() ? &chunks_[c + 1].front()
+                                                 : nullptr;
+    if ((prev == nullptr || less(*prev, new_key, id)) &&
+        (next == nullptr || greater(*next, new_key, id))) {
+      it->key = new_key;
+      it->slot = slot;
+      return;
+    }
+    erase(old_key, id);
+    insert(new_key, id, slot);
+  }
+
   /// In-order traversal (ascending (key, id)).
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -102,6 +135,17 @@ class ChunkedIndex {
       return false;
     }
     return e.id < id;
+  }
+
+  /// (key, id) < e, the mirror of less().
+  static bool greater(const Entry& e, Key key, FlowId id) {
+    if (key < e.key) {
+      return true;
+    }
+    if (e.key < key) {
+      return false;
+    }
+    return id < e.id;
   }
 
   static bool equivalent(const Entry& e, Key key, FlowId id) {

@@ -99,9 +99,9 @@ bool VoqMatrix::drain_slot(FlowSlot slot, Bytes amount) {
 
   const std::size_t idx = index(flow.src, flow.dst);
   VoqBucket& bucket = voqs_[idx];
-  bucket.by_remaining.erase(flow.remaining.count, flow.id);
+  const Bytes before = flow.remaining;
 
-  store_.set_remaining(slot, flow.remaining - drained);
+  store_.set_remaining(slot, before - drained);
   bucket.backlog -= drained;
   mark_dirty(idx);
   ingress_backlog_[static_cast<std::size_t>(flow.src)] -= drained;
@@ -109,6 +109,7 @@ bool VoqMatrix::drain_slot(FlowSlot slot, Bytes amount) {
   total_backlog_ -= drained;
 
   if (flow.done()) {
+    bucket.by_remaining.erase(before.count, flow.id);
     bucket.by_arrival.erase(flow.arrival.seconds, flow.id);
     if (bucket.by_remaining.empty()) {
       mark_empty(idx);
@@ -116,7 +117,10 @@ bool VoqMatrix::drain_slot(FlowSlot slot, Bytes amount) {
     store_.erase(slot);
     return true;
   }
-  bucket.by_remaining.insert(flow.remaining.count, flow.id, slot);
+  // A served flow is its VOQ's shortest, so its shrinking key usually
+  // stays in place at the front.
+  bucket.by_remaining.rekey(before.count, flow.remaining.count, flow.id,
+                            slot);
   return false;
 }
 

@@ -24,8 +24,6 @@ void MaxMinSolver::solve_into(const FlowDemand* demands, std::size_t n_flows,
     return;
   }
 
-  constexpr double kEps = 1e-6;  // bits/s; capacities are ~1e9-1e10
-
   residual_.resize(n_links);
   for (std::size_t l = 0; l < n_links; ++l) {
     BASRPT_ASSERT(capacities[l].bits_per_sec >= 0.0,
@@ -56,7 +54,7 @@ void MaxMinSolver::solve_into(const FlowDemand* demands, std::size_t n_flows,
   while (remaining > 0) {
     double delta = std::numeric_limits<double>::infinity();
     for (std::size_t l = 0; l < n_links; ++l) {
-      if (weight_[l] > kEps) {
+      if (weight_[l] > kFillEps) {
         delta = std::min(delta, residual_[l] / weight_[l]);
       }
     }
@@ -71,7 +69,7 @@ void MaxMinSolver::solve_into(const FlowDemand* demands, std::size_t n_flows,
 
     level += delta;
     for (std::size_t l = 0; l < n_links; ++l) {
-      if (weight_[l] > kEps) {
+      if (weight_[l] > kFillEps) {
         residual_[l] -= weight_[l] * delta;
       }
     }
@@ -84,12 +82,12 @@ void MaxMinSolver::solve_into(const FlowDemand* demands, std::size_t n_flows,
       }
       bool freeze = false;
       if (demands[f].cap.bits_per_sec > 0.0 &&
-          level >= demands[f].cap.bits_per_sec - kEps) {
+          level >= demands[f].cap.bits_per_sec - kFillEps) {
         freeze = true;
       }
       if (!freeze) {
         for (const LinkUse& use : demands[f].path) {
-          if (residual_[static_cast<std::size_t>(use.link)] <= kEps) {
+          if (residual_[static_cast<std::size_t>(use.link)] <= kFillEps) {
             freeze = true;
             break;
           }

@@ -15,6 +15,11 @@
 
 namespace basrpt::topo {
 
+/// Saturation tolerance of progressive filling, in bits/s (capacities
+/// are ~1e8-1e10): a link whose residual is at most this is saturated,
+/// and only links carrying more than this much weight bind.
+inline constexpr double kFillEps = 1e-6;
+
 /// One flow's demand: its path (fractional link uses) and an optional
 /// rate cap (e.g. the sender NIC limit); no cap = uncapped.
 struct FlowDemand {

@@ -85,6 +85,13 @@ LinkId Fabric::tor_down(std::int32_t rack, std::int32_t core) const {
          rack * config_.cores + core;
 }
 
+std::int32_t Fabric::ecmp_core(std::uint64_t flow_key) const {
+  std::uint64_t state = flow_key;
+  const std::uint64_t h = splitmix64(state);
+  return static_cast<std::int32_t>(
+      h % static_cast<std::uint64_t>(config_.cores));
+}
+
 std::vector<LinkUse> Fabric::route(HostId src, HostId dst,
                                    std::uint64_t flow_key) const {
   std::vector<LinkUse> uses;
@@ -107,12 +114,7 @@ void Fabric::route_into(HostId src, HostId dst, std::uint64_t flow_key,
         uses.push_back({tor_down(dst_rack, c), share});
       }
     } else {
-      // Per-flow ECMP: pick the core by a SplitMix64-style hash of the
-      // flow key so placement is deterministic per flow.
-      std::uint64_t state = flow_key;
-      const std::uint64_t h = splitmix64(state);
-      const auto core = static_cast<std::int32_t>(
-          h % static_cast<std::uint64_t>(config_.cores));
+      const std::int32_t core = ecmp_core(flow_key);
       uses.push_back({tor_up(src_rack, core), 1.0});
       uses.push_back({tor_down(dst_rack, core), 1.0});
     }

@@ -86,6 +86,11 @@ class Fabric {
   void route_into(HostId src, HostId dst, std::uint64_t flow_key,
                   std::vector<LinkUse>& out) const;
 
+  /// Core switch a cross-rack flow takes under kEcmpHash: a
+  /// SplitMix64-style hash of `flow_key`, so placement is deterministic
+  /// per flow.
+  std::int32_t ecmp_core(std::uint64_t flow_key) const;
+
   /// All link capacities indexed by LinkId, for the max-min allocator.
   const std::vector<Rate>& capacities() const { return capacity_; }
 

@@ -25,6 +25,9 @@ CASES = {
     "fig2_motivation": ["bench_fig2_motivation", "--horizon", "0.3"],
     "fig6_loads": ["bench_fig6_loads", "--horizon", "0.3"],
     "table1_fct": ["bench_table1_fct", "--horizon", "0.3"],
+    "ablation_routing": ["bench_ablation_routing", "--horizon", "0.3"],
+    "ablation_batching": ["bench_ablation_batching", "--horizon", "0.3"],
+    "fault_resilience": ["bench_fault_resilience", "--horizon", "0.3"],
 }
 
 

@@ -192,6 +192,39 @@ TEST(FlowSim, EcmpModeRunsAndConserves) {
   EXPECT_GT(result.flows_completed, 0);
 }
 
+TEST(FlowSim, ParanoidRateDifferentialChangesNoResult) {
+  // --paranoid re-solves every certified rate set with route +
+  // progressive filling and throws on a bitwise difference; it must
+  // pass on spray (certified) and ECMP / fair sharing (mostly fallback)
+  // and leave every result unchanged.
+  for (const auto routing :
+       {topo::RoutingMode::kFluidSpray, topo::RoutingMode::kEcmpHash}) {
+    for (const auto model :
+         {ServiceModel::kMatchingScheduler, ServiceModel::kFairSharing}) {
+      const auto run = [&](bool paranoid) {
+        auto config = tiny_config(0.1);
+        config.fabric.routing = routing;
+        config.service_model = model;
+        config.paranoid = paranoid;
+        sched::FastBasrptScheduler basrpt(2500.0);
+        Rng rng(3);
+        auto traffic = workload::paper_mix(0.8, 0.2, 2, 4, gbps(10.0),
+                                           seconds(0.1), rng);
+        return run_flow_sim(config, basrpt, *traffic);
+      };
+      const FlowSimResult plain = run(false);
+      const FlowSimResult checked = run(true);
+      EXPECT_GT(plain.flows_completed, 0);
+      EXPECT_EQ(checked.flows_completed, plain.flows_completed);
+      EXPECT_EQ(checked.delivered, plain.delivered);
+      EXPECT_EQ(checked.scheduler_invocations, plain.scheduler_invocations);
+      EXPECT_EQ(
+          checked.fct.summary(stats::FlowClass::kBackground).mean_seconds,
+          plain.fct.summary(stats::FlowClass::kBackground).mean_seconds);
+    }
+  }
+}
+
 TEST(FlowSimResult, ZeroHorizonThroughputIsZeroNotNan) {
   FlowSimResult result(0, 1);
   result.delivered = Bytes{1000};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "queueing/backlog_recorder.hpp"
+#include "queueing/chunked_index.hpp"
 #include "queueing/lyapunov.hpp"
 #include "queueing/voq.hpp"
 
@@ -227,6 +229,10 @@ TEST(VoqMatrix, RandomChurnMatchesMapSetOracle) {
   Rng rng(2024);
   FlowId next_id = 1;
   std::vector<FlowId> live;
+  // Partial drains re-key the flow in its VOQ's by-remaining index; both
+  // the head (in place) and flows behind it (which may move) must occur.
+  int partial_front_drains = 0;
+  int partial_inner_drains = 0;
 
   for (int step = 0; step < 4000; ++step) {
     const std::int64_t op = rng.uniform_int(0, 9);
@@ -249,6 +255,8 @@ TEST(VoqMatrix, RandomChurnMatchesMapSetOracle) {
       const Bytes amount{rng.bernoulli(0.3)
                              ? voqs.flow(id).remaining.count
                              : rng.uniform_int(1, 2000)};
+      const Flow& f = voqs.flow(id);
+      const bool front = voqs.shortest_in_voq(f.src, f.dst) == id;
       bool done;
       if (rng.bernoulli(0.5)) {
         done = voqs.drain_at(voqs.slot_of(id), amount);
@@ -256,6 +264,9 @@ TEST(VoqMatrix, RandomChurnMatchesMapSetOracle) {
         done = voqs.drain(id, amount);
       }
       EXPECT_EQ(done, oracle.drain(id, amount));
+      if (!done) {
+        ++(front ? partial_front_drains : partial_inner_drains);
+      }
       if (done) {
         live[pick] = live.back();
         live.pop_back();
@@ -312,6 +323,95 @@ TEST(VoqMatrix, RandomChurnMatchesMapSetOracle) {
       }
     }
   }
+  EXPECT_GT(partial_front_drains, 10);
+  EXPECT_GT(partial_inner_drains, 100);
+}
+
+// ---------------------------------------------------------- ChunkedIndex
+
+TEST(ChunkedIndex, RekeyMatchesEraseInsertOverRandomChurn) {
+  // Two indexes see the same operations; one re-keys with rekey(), the
+  // other with erase + insert. Hundreds of entries over a narrow key
+  // range give several chunks (split at 48), neighbours across chunk
+  // bounds, and many equal keys ordered by id.
+  using Index = ChunkedIndex<std::int64_t>;
+  Index rekeyed;
+  Index reference;
+  std::map<FlowId, std::int64_t> keys;  // live id -> current key
+  std::set<std::pair<std::int64_t, FlowId>> order;
+  Rng rng(48);
+  FlowId next_id = 1;
+  int in_place = 0;
+  int moved = 0;
+
+  const auto snapshot = [](const Index& index) {
+    std::vector<std::pair<std::int64_t, FlowId>> out;
+    index.for_each([&](const Index::Entry& e) {
+      EXPECT_EQ(e.slot, static_cast<FlowSlot>(e.id));
+      out.emplace_back(e.key, e.id);
+    });
+    return out;
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (keys.size() < 60 || (op < 2 && keys.size() < 400)) {
+      const FlowId id = next_id++;
+      const std::int64_t key = rng.uniform_int(0, 40);
+      rekeyed.insert(key, id, static_cast<FlowSlot>(id));
+      reference.insert(key, id, static_cast<FlowSlot>(id));
+      keys.emplace(id, key);
+      order.emplace(key, id);
+    } else if (op < 3) {
+      auto it = keys.begin();
+      std::advance(it, rng.uniform_int(
+                           0, static_cast<std::int64_t>(keys.size()) - 1));
+      rekeyed.erase(it->second, it->first);
+      reference.erase(it->second, it->first);
+      order.erase({it->second, it->first});
+      keys.erase(it);
+    } else {
+      // Re-key a random entry up or down, sometimes by one step only.
+      auto it = keys.begin();
+      std::advance(it, rng.uniform_int(
+                           0, static_cast<std::int64_t>(keys.size()) - 1));
+      const FlowId id = it->first;
+      const std::int64_t old_key = it->second;
+      const std::int64_t new_key =
+          rng.bernoulli(0.5) ? old_key + rng.uniform_int(-1, 1)
+                             : rng.uniform_int(0, 40);
+      // Would the entry keep its rank? Then rekey() must write in place.
+      const auto pos = order.find({old_key, id});
+      const bool after_prev =
+          pos == order.begin() ||
+          *std::prev(pos) < std::make_pair(new_key, id);
+      const bool before_next =
+          std::next(pos) == order.end() ||
+          std::make_pair(new_key, id) < *std::next(pos);
+      ++(after_prev && before_next ? in_place : moved);
+
+      rekeyed.rekey(old_key, new_key, id, static_cast<FlowSlot>(id));
+      reference.erase(old_key, id);
+      reference.insert(new_key, id, static_cast<FlowSlot>(id));
+      order.erase(pos);
+      order.emplace(new_key, id);
+      it->second = new_key;
+    }
+
+    ASSERT_EQ(rekeyed.size(), reference.size());
+    ASSERT_EQ(rekeyed.front().key, reference.front().key);
+    ASSERT_EQ(rekeyed.front().id, reference.front().id);
+    if (step % 7 == 0) {
+      const auto got = snapshot(rekeyed);
+      ASSERT_EQ(got, snapshot(reference)) << "step " << step;
+      const std::vector<std::pair<std::int64_t, FlowId>> want(order.begin(),
+                                                              order.end());
+      ASSERT_EQ(got, want);
+    }
+  }
+  EXPECT_GT(rekeyed.size(), 200u);
+  EXPECT_GT(in_place, 1000);
+  EXPECT_GT(moved, 1000);
 }
 
 TEST(FlowStore, RefInvalidatedByEraseAndRecycle) {

@@ -1,9 +1,16 @@
 // Unit tests for src/topo: fabric layout, routing, max-min allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
+#include "topo/fabric_rates.hpp"
 #include "topo/maxmin.hpp"
 #include "topo/topology.hpp"
 
@@ -244,6 +251,163 @@ TEST(MaxMin, ParetoOptimalityEveryFlowHitsABottleneck) {
 TEST(MaxMin, EmptyDemandsYieldEmptyRates) {
   const Fabric fabric(small_fabric(2, 4, 2));
   EXPECT_TRUE(max_min_rates({}, fabric.capacities()).empty());
+}
+
+// ----------------------------------------------------------- FabricRates
+
+// Independent reference: route() + max_min_rates over fresh vectors.
+std::vector<Rate> filled_rates(const Fabric& fabric,
+                               const std::vector<FlowEnds>& flows) {
+  std::vector<FlowDemand> demands;
+  for (const FlowEnds& f : flows) {
+    demands.push_back({fabric.route(f.src, f.dst, f.key), Rate{0.0}});
+  }
+  return max_min_rates(demands, fabric.capacities());
+}
+
+// Index of the first bitwise difference, or -1 when a and b are equal.
+long first_difference(const std::vector<Rate>& a,
+                      const std::vector<Rate>& b) {
+  if (a.size() != b.size()) {
+    return 0;
+  }
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(a[k].bits_per_sec) !=
+        std::bit_cast<std::uint64_t>(b[k].bits_per_sec)) {
+      return static_cast<long>(k);
+    }
+  }
+  return -1;
+}
+
+// A random partial matching: every host sends and receives at most once.
+std::vector<FlowEnds> random_matching(const Fabric& fabric, Rng& rng) {
+  std::vector<HostId> dst(static_cast<std::size_t>(fabric.hosts()));
+  for (HostId h = 0; h < fabric.hosts(); ++h) {
+    dst[static_cast<std::size_t>(h)] = h;
+  }
+  std::shuffle(dst.begin(), dst.end(), rng);
+  std::vector<FlowEnds> flows;
+  const double keep = rng.uniform(0.1, 1.0);
+  for (HostId src = 0; src < fabric.hosts(); ++src) {
+    const HostId d = dst[static_cast<std::size_t>(src)];
+    if (d != src && rng.bernoulli(keep)) {
+      flows.push_back({src, d, rng()});
+    }
+  }
+  return flows;
+}
+
+// Fair-sharing-style sets: many flows per port, pairs may repeat.
+std::vector<FlowEnds> random_shared(const Fabric& fabric, Rng& rng) {
+  std::vector<FlowEnds> flows;
+  const std::int64_t n = rng.uniform_int(1, 3 * fabric.hosts());
+  while (static_cast<std::int64_t>(flows.size()) < n) {
+    const auto src =
+        static_cast<HostId>(rng.uniform_int(0, fabric.hosts() - 1));
+    const auto dst =
+        static_cast<HostId>(rng.uniform_int(0, fabric.hosts() - 1));
+    if (src != dst) {
+      flows.push_back({src, dst, rng()});
+    }
+  }
+  return flows;
+}
+
+TEST(FabricRates, CertificateIsBitIdenticalToProgressiveFilling) {
+  struct Case {
+    std::string name;
+    FabricConfig config;
+  };
+  std::vector<Case> cases;
+  for (const bool paper : {true, false}) {
+    for (const bool slow_hosts : {false, true}) {
+      for (const RoutingMode mode :
+           {RoutingMode::kFluidSpray, RoutingMode::kEcmpHash}) {
+        FabricConfig config = paper ? paper_fabric() : small_fabric(4, 6);
+        if (slow_hosts) {
+          config.host_link = mbps(100.0);  // basrptd's default edge
+        }
+        config.routing = mode;
+        cases.push_back(
+            {std::string(paper ? "paper" : "small") +
+                 (slow_hosts ? "/100Mb" : "/10Gb") +
+                 (mode == RoutingMode::kFluidSpray ? "/spray" : "/ecmp"),
+             config});
+      }
+    }
+  }
+  Rng rng(15);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Fabric fabric(c.config);
+    FabricRates solver(fabric);
+    std::vector<Rate> rates;
+    std::vector<Rate> general;
+    int certified_matchings = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+      const bool matching = trial % 2 == 0;
+      const std::vector<FlowEnds> flows = matching
+                                              ? random_matching(fabric, rng)
+                                              : random_shared(fabric, rng);
+      const bool certified = solver.solve_into(flows.data(), flows.size(),
+                                               rates);
+      const std::vector<Rate> want = filled_rates(fabric, flows);
+      ASSERT_EQ(first_difference(rates, want), -1)
+          << "trial " << trial << ", " << flows.size() << " flows";
+      solver.solve_general_into(flows.data(), flows.size(), general);
+      ASSERT_EQ(first_difference(general, want), -1) << "trial " << trial;
+      if (matching && certified) {
+        ++certified_matchings;
+      }
+    }
+    if (c.config.routing == RoutingMode::kFluidSpray) {
+      // Matchings on a spray fabric are the certificate's home ground.
+      EXPECT_GT(certified_matchings, 150);
+    }
+    // The empty set is certified trivially.
+    EXPECT_TRUE(solver.solve_into(nullptr, 0, rates));
+    EXPECT_TRUE(rates.empty());
+  }
+}
+
+TEST(FabricRates, CertifiesAFanOutThroughItsSharedUplink) {
+  // One host sends to three others: its up link carries all three at
+  // 10/3 G while each receiving link keeps spare capacity, so the
+  // certificate must find every flow's saturated link flow by flow.
+  const Fabric fabric(small_fabric(4, 6, 3));
+  const std::vector<FlowEnds> flows = {{0, 1, 1}, {0, 7, 2}, {0, 13, 3}};
+  FabricRates solver(fabric);
+  std::vector<Rate> rates;
+  EXPECT_TRUE(solver.solve_into(flows.data(), flows.size(), rates));
+  EXPECT_EQ(first_difference(rates, filled_rates(fabric, flows)), -1);
+  EXPECT_EQ(rates[0].bits_per_sec, 1e10 / 3.0);
+}
+
+TEST(FabricRates, RefusesEcmpCollisionWithTwoRateLevels) {
+  // Three rack-0 -> rack-1 flows hashed onto one 20G core link share it
+  // at 20/3 G, while a rack-local flow runs at the full 10G edge rate.
+  // One filling round cannot freeze the rack-local flow, so the
+  // certificate must refuse and hand back the solver's two levels.
+  FabricConfig config = small_fabric(4, 6, 3);
+  config.routing = RoutingMode::kEcmpHash;
+  const Fabric fabric(config);
+  std::vector<FlowEnds> flows;
+  std::uint64_t key = 0;
+  for (HostId h = 0; h < 3; ++h) {
+    while (fabric.ecmp_core(key) != 0) {
+      ++key;
+    }
+    flows.push_back({h, static_cast<HostId>(6 + h), key++});
+  }
+  flows.push_back({3, 4, key});
+
+  FabricRates solver(fabric);
+  std::vector<Rate> rates;
+  EXPECT_FALSE(solver.solve_into(flows.data(), flows.size(), rates));
+  EXPECT_EQ(first_difference(rates, filled_rates(fabric, flows)), -1);
+  EXPECT_NEAR(rates[0].bits_per_sec, 20e9 / 3.0, 1e3);
+  EXPECT_NEAR(rates[3].bits_per_sec, 1e10, 1e3);
 }
 
 }  // namespace
