@@ -33,7 +33,6 @@
 #include "perf/measure.hpp"
 #include "queueing/voq.hpp"
 #include "sched/factory.hpp"
-#include "simd/dispatch.hpp"
 #include "switchsim/arrivals.hpp"
 
 namespace {
@@ -221,12 +220,11 @@ std::vector<std::pair<PortId, int>> perf_sizes(sched::Policy policy) {
 }
 
 int run_perf_mode(const std::string& list, const std::string& out_path,
-                  int warmup, int reps, int batch) {
+                  int warmup, int reps) {
   perf::BenchRecord record = perf::make_record("sched_micro", warmup, reps);
   perf::MeasureOptions options;
   options.warmup = warmup;
   options.reps = reps;
-  const char* simd = simd::isa_name(simd::active_isa());
 
   std::size_t start = 0;
   while (start <= list.size()) {
@@ -245,63 +243,39 @@ int run_perf_mode(const std::string& list, const std::string& out_path,
     }
     auto scheduler = sched::make_scheduler(spec);
     for (const auto& [ports, flows] : perf_sizes(spec.policy)) {
-      // One SoA view per batch slot, each from an independently seeded
-      // fabric state. batch == 1 is the simulators' hot path (and the
-      // gated configuration); larger batches exercise decide_batch.
-      const std::size_t nb = static_cast<std::size_t>(batch);
-      std::vector<sched::CandidateSoA> soas(nb);
-      std::vector<sched::CandidateView> views(nb);
-      for (std::size_t k = 0; k < nb; ++k) {
-        const VoqMatrix voqs =
-            random_state(ports, flows, 42 + static_cast<std::uint64_t>(k));
-        views[k] =
-            sched::CandidateView::from_aos(sched::build_candidates(voqs, 1.0),
-                                           soas[k]);
-      }
+      const VoqMatrix voqs = random_state(ports, flows, 42);
+      sched::CandidateSoA soa;
+      const sched::CandidateView view = sched::CandidateView::from_aos(
+          sched::build_candidates(voqs, 1.0), soa);
       // decide_into with a reused Decision is the simulators' hot path;
       // steady state must not allocate, and the record enforces that.
-      std::vector<sched::Decision> decisions(nb);
+      sched::Decision decision;
       const perf::Measurement m = perf::measure_op(
           [&] {
-            if (nb == 1) {
-              scheduler->decide_into(ports, views[0], decisions[0]);
-            } else {
-              scheduler->decide_batch(ports, views.data(), nb,
-                                      decisions.data());
-            }
-            benchmark::DoNotOptimize(decisions.data());
+            scheduler->decide_into(ports, view, decision);
+            benchmark::DoNotOptimize(decision.selected.data());
           },
           options);
 
       perf::BenchCase c;
       c.label = "decide/" + spec.to_string() +
                 "/ports=" + std::to_string(ports);
-      if (batch > 1) {
-        c.label = "decide_batch/" + spec.to_string() +
-                  "/ports=" + std::to_string(ports) +
-                  "/batch=" + std::to_string(batch);
-      }
       c.param("scheduler", spec.to_string());
       c.param("ports", std::to_string(ports));
       c.param("flows", std::to_string(flows));
-      c.param("batch", std::to_string(batch));
-      c.param("simd", simd);
       c.param("iters_per_rep", std::to_string(m.iters_per_rep));
-      c.metric("decisions_per_sec", m.ops_per_sec * static_cast<double>(nb));
+      c.metric("decisions_per_sec", m.ops_per_sec);
       c.metric("ns_mean", m.ns_mean);
       c.metric("ns_p50", m.ns_p50);
       c.metric("ns_p99", m.ns_p99);
       c.metric("ns_p999", m.ns_p999);
-      c.metric("allocs_per_decision",
-               m.allocs_per_op / static_cast<double>(nb));
+      c.metric("allocs_per_decision", m.allocs_per_op);
       c.metric("rep_spread_frac", m.rep_spread_frac);
       record.cases.push_back(std::move(c));
       std::printf("%-40s %12.0f decisions/s  p99 %7.0f ns  "
                   "allocs/op %.3f  spread %.1f%%\n",
-                  record.cases.back().label.c_str(),
-                  m.ops_per_sec * static_cast<double>(nb), m.ns_p99,
-                  m.allocs_per_op / static_cast<double>(nb),
-                  m.rep_spread_frac * 100.0);
+                  record.cases.back().label.c_str(), m.ops_per_sec, m.ns_p99,
+                  m.allocs_per_op, m.rep_spread_frac * 100.0);
     }
   }
   perf::write_record_file(out_path, record);
@@ -312,17 +286,15 @@ int run_perf_mode(const std::string& list, const std::string& out_path,
 
 }  // namespace
 
-// Custom main: `--scheduler=LIST`, `--perf-out=PATH`, `--warmup=N`,
-// `--reps=N`, `--batch=N` and `--simd=ISA` are ours (google-benchmark
-// rejects unknown flags), so they are consumed before Initialize sees
-// argv. --perf-out switches to the measure_op harness and skips
+// Custom main: `--scheduler=LIST`, `--perf-out=PATH`, `--warmup=N` and
+// `--reps=N` are ours (google-benchmark rejects unknown flags), so they
+// are consumed before Initialize sees argv. --perf-out switches to the measure_op harness and skips
 // google-benchmark entirely.
 int main(int argc, char** argv) {
   std::string list = kDefaultSchedulers;
   std::string perf_out;
   int warmup = 500;
   int reps = 5;
-  int batch = 1;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scheduler=", 12) == 0) {
@@ -333,27 +305,13 @@ int main(int argc, char** argv) {
       warmup = std::atoi(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
       reps = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      batch = std::atoi(argv[i] + 8);
-      if (batch < 1) {
-        std::fprintf(stderr, "error: --batch must be >= 1\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--simd=", 7) == 0) {
-      const std::string isa = argv[i] + 7;
-      try {
-        simd::set_active_isa(simd::parse_isa(isa));
-      } catch (const ConfigError& e) {
-        std::fprintf(stderr, "error: --simd=%s: %s\n", isa.c_str(), e.what());
-        return 2;
-      }
     } else {
       argv[kept++] = argv[i];
     }
   }
   argc = kept;
   if (!perf_out.empty()) {
-    return run_perf_mode(list, perf_out, warmup, reps, batch);
+    return run_perf_mode(list, perf_out, warmup, reps);
   }
   register_decide_benchmarks(list);
   benchmark::Initialize(&argc, argv);

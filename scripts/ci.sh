@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 (warnings-as-errors build + full test suite),
-# then tier-2 (AddressSanitizer + UBSan build + full test suite, fault
-# soak, --paranoid certified-rate differential, kill-and-resume soak,
-# and a ThreadSanitizer parallel-sweep determinism check).
+# CI entry point: tier-1 (warnings-as-errors build + full test suite +
+# the e2ebench harness build and its tests), then tier-2
+# (AddressSanitizer + UBSan build + full test suite, fault soak,
+# --paranoid certified-rate differential, kill-and-resume soak, and a
+# ThreadSanitizer parallel-sweep determinism check).
 #
 #   scripts/ci.sh            # all stages
-#   scripts/ci.sh --tier1    # build + ctest only
+#   scripts/ci.sh --tier1    # build + ctest + e2ebench harness tests
 #   scripts/ci.sh --tier2    # sanitizer build + ctest only
 #   scripts/ci.sh --soak     # serving soak only (overload + drain)
 #   scripts/ci.sh --perf     # perf stage only (bench + regression gate)
-#   scripts/ci.sh --simd     # SIMD-off build + scalar-vs-native CSV diff
 #
 # The perf stage regenerates small BENCH_*.json records and gates them
 # against the committed baselines with scripts/perf_gate.py. A
 # regression fails the build by default; set BASRPT_PERF_STRICT=0 on a
 # noisy shared runner to downgrade it to a warning (docs/PERF.md).
 #
-# Build trees: build-ci/ (tier 1) and build-asan/ (tier 2), kept apart
-# from a developer's build/ so CI never clobbers local state.
+# Build trees: build-ci/ and build-e2ebench/ (tier 1) and build-asan/
+# (tier 2), kept apart from a developer's build/ so CI never clobbers
+# local state.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,15 +28,13 @@ RUN_TIER1=1
 RUN_TIER2=1
 RUN_SOAK=1
 RUN_PERF=1
-RUN_SIMD=1
 case "${1:-}" in
-  --tier1) RUN_TIER2=0; RUN_SOAK=0; RUN_PERF=0; RUN_SIMD=0 ;;
-  --tier2) RUN_TIER1=0; RUN_SOAK=0; RUN_PERF=0; RUN_SIMD=0 ;;
-  --soak)  RUN_TIER1=0; RUN_TIER2=0; RUN_PERF=0; RUN_SIMD=0 ;;
-  --perf)  RUN_TIER1=0; RUN_TIER2=0; RUN_SOAK=0; RUN_SIMD=0 ;;
-  --simd)  RUN_TIER1=0; RUN_TIER2=0; RUN_SOAK=0; RUN_PERF=0 ;;
+  --tier1) RUN_TIER2=0; RUN_SOAK=0; RUN_PERF=0 ;;
+  --tier2) RUN_TIER1=0; RUN_SOAK=0; RUN_PERF=0 ;;
+  --soak)  RUN_TIER1=0; RUN_TIER2=0; RUN_PERF=0 ;;
+  --perf)  RUN_TIER1=0; RUN_TIER2=0; RUN_SOAK=0 ;;
   "") ;;
-  *) echo "usage: $0 [--tier1|--tier2|--soak|--perf|--simd]" >&2; exit 2 ;;
+  *) echo "usage: $0 [--tier1|--tier2|--soak|--perf]" >&2; exit 2 ;;
 esac
 
 if [[ "$RUN_TIER1" == 1 ]]; then
@@ -43,51 +42,14 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   cmake -B build-ci -DBASRPT_WERROR=ON >/dev/null
   cmake --build build-ci -j "$JOBS"
   ctest --test-dir build-ci --output-on-failure -j "$JOBS"
-fi
 
-if [[ "$RUN_SIMD" == 1 ]]; then
-  # SIMD contract stage. The kernels come in two variants, the scalar
-  # reference and AVX2. Two halves:
-  #  1. A -DBASRPT_SIMD=OFF build (the AVX2 TU compiled out entirely,
-  #     the dispatch table is scalar-only) must build warning-clean and
-  #     pass the full suite — the scalar fallback is a supported
-  #     configuration, not a degraded one.
-  #  2. On the normal build, every figure/table CSV must be byte-identical
-  #     between BASRPT_SIMD=scalar and BASRPT_SIMD=native (AVX2 where the
-  #     CPU has it) runs of the same binary. The kernels' bit-identity
-  #     contract (same IEEE ops, same per-element order in both variants)
-  #     makes this a strict equality, so any divergence is a kernel bug,
-  #     and the diff fails the build unconditionally.
-  echo "==== simd: BASRPT_SIMD=OFF build + ctest ===="
-  cmake -B build-nosimd -DBASRPT_SIMD=OFF -DBASRPT_WERROR=ON >/dev/null
-  cmake --build build-nosimd -j "$JOBS"
-  ctest --test-dir build-nosimd --output-on-failure -j "$JOBS"
-
-  echo "==== simd: scalar-vs-native figure-CSV byte diff ===="
-  cmake -B build-ci >/dev/null
-  cmake --build build-ci -j "$JOBS" --target \
-      bench_fig2_motivation bench_fig5_stability bench_fig6_loads \
-      bench_table1_fct
-  SIMD_TMP="$(mktemp -d)"
-  trap 'rm -rf "${SIMD_TMP:-}"' EXIT
-  for isa in scalar native; do
-    mkdir -p "$SIMD_TMP/$isa"
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_fig2_motivation \
-        --horizon 0.3 --plot-dir "$SIMD_TMP/$isa" >/dev/null
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_fig5_stability \
-        --horizon 0.3 --plot-dir "$SIMD_TMP/$isa" >/dev/null
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_fig6_loads \
-        --horizon 0.3 --csv > "$SIMD_TMP/$isa/fig6.csv"
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_table1_fct \
-        --horizon 0.3 --csv > "$SIMD_TMP/$isa/table1.csv"
-  done
-  for csv in "$SIMD_TMP"/scalar/*.csv; do
-    name="$(basename "$csv")"
-    diff "$csv" "$SIMD_TMP/native/$name" \
-        || { echo "simd: $name diverges between scalar and native" >&2
-             exit 1; }
-  done
-  echo "simd: all figure CSVs byte-identical across ISAs"
+  # The end-to-end benchmark compiles ../src on its own (e2ebench/
+  # CMakeLists.txt), so a src/ change can break its build without any
+  # ctest noticing. Build the harness tree and run its tests.
+  echo "==== tier 1: e2ebench harness build + e2ebench_tests ===="
+  cmake -S e2ebench -B build-e2ebench >/dev/null
+  cmake --build build-e2ebench -j "$JOBS" --target e2ebench e2ebench_tests
+  ./build-e2ebench/e2ebench_tests
 fi
 
 if [[ "$RUN_TIER2" == 1 ]]; then
@@ -127,7 +89,7 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # also snapshots genuine mid-run slotted state.
   echo "==== tier 2: kill-and-resume soak (ASan/UBSan) ===="
   CKPT_TMP="$(mktemp -d)"
-  trap 'rm -rf "$CKPT_TMP" "${SIMD_TMP:-}"' EXIT
+  trap 'rm -rf "$CKPT_TMP"' EXIT
 
   kill_and_resume() {
     local name="$1"; shift
@@ -201,7 +163,7 @@ if [[ "$RUN_SOAK" == 1 ]]; then
   cmake -B build-ci >/dev/null
   cmake --build build-ci -j "$JOBS" --target bench_soak
   SOAK_TMP="$(mktemp -d)"
-  trap 'rm -rf "${SOAK_TMP:-}" "${CKPT_TMP:-}" "${SIMD_TMP:-}"' EXIT
+  trap 'rm -rf "${SOAK_TMP:-}" "${CKPT_TMP:-}"' EXIT
 
   soak_stage() (
     set -e
@@ -377,7 +339,7 @@ if [[ "$RUN_PERF" == 1 ]]; then
 
   PERF_TMP="$(mktemp -d)"
   # Re-arm the EXIT trap to also cover earlier stages' scratch dirs.
-  trap 'rm -rf "$PERF_TMP" "${CKPT_TMP:-}" "${SOAK_TMP:-}" "${SIMD_TMP:-}"' EXIT
+  trap 'rm -rf "$PERF_TMP" "${CKPT_TMP:-}" "${SOAK_TMP:-}"' EXIT
   GATE_ARGS=()
   if [[ "${BASRPT_PERF_STRICT:-1}" == 0 ]]; then
     GATE_ARGS=(--warn-only)

@@ -9,11 +9,11 @@
 // non-empty entries into contiguous SoA lanes (sched::CandidateView) in
 // the matrix's non-empty order — the same order build_candidates
 // produces, so order-sensitive schedulers (exact BASRPT's enumeration
-// ties, BvN's selection order) behave identically. The transpose is a
-// set of strided gathers the src/simd kernels vectorize.
+// ties, BvN's selection order) behave identically. The transpose is one
+// plain per-field copy loop over the packed entries.
 //
 // Steady-state cost per refresh: O(#dirty VOQs) candidate recomputes
-// plus O(#non-empty VOQs) lane gathers, with zero heap allocation once
+// plus O(#non-empty VOQs) lane copies, with zero heap allocation once
 // the lanes have warmed to the fabric's footprint.
 //
 // The cache consumes the matrix's dirty list (clear_dirty), so attach

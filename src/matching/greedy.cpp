@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "perf/profiler.hpp"
-#include "simd/kernels.hpp"
 
 namespace basrpt::matching {
 
@@ -67,6 +66,16 @@ constexpr std::uint32_t kRadixBits = 8;
 constexpr std::uint32_t kRadixBins = 1u << kRadixBits;
 constexpr std::uint32_t kRadixMask = kRadixBins - 1;
 constexpr std::size_t kRadixPasses = 4;
+
+/// True iff 0 <= x[i] < limit for every i in [0, n).
+bool ports_in_range(const PortId* x, std::size_t n, PortId limit) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (x[i] < 0 || x[i] >= limit) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -163,10 +172,8 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
   if (n == 0) {
     return;
   }
-  BASRPT_ASSERT(simd::bounds_ok_i32(left, n, n_left),
-                "ingress out of range");
-  BASRPT_ASSERT(simd::bounds_ok_i32(right, n, n_right),
-                "egress out of range");
+  BASRPT_ASSERT(ports_in_range(left, n, n_left), "ingress out of range");
+  BASRPT_ASSERT(ports_in_range(right, n, n_right), "egress out of range");
 
   // No candidate can be accepted once every left (or every right) port
   // is taken, so the scan stops at max_accept winners — identical

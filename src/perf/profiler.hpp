@@ -47,7 +47,7 @@ enum class Phase : std::uint8_t {
   kLifecycleApply = 5,  // fabric::FlowLifecycle::apply_decision
   kCheckpointWrite = 6, // ckpt::CheckpointManager durable write
   kMeasuredOp = 7,      // perf::measure_op timed operation
-  kScoreKernel = 8,     // simd score-key computation over candidate lanes
+  kScoreKernel = 8,     // fast-BASRPT/threshold key loop over candidate lanes
   kMatchSort = 9,       // GreedyMatcher candidate ordering (sort/radix)
   kCount
 };

@@ -2,7 +2,7 @@
 //
 // fabric::CandidateCache maintains candidates as contiguous per-field
 // lanes and hands schedulers a CandidateView: a non-owning set of lane
-// pointers. The scoring kernels (src/simd) stream the lanes directly —
+// pointers. The schedulers' key loops stream the lanes directly —
 // no per-decision AoS repack, and the SRPT key lane IS the
 // shortest_remaining lane, copied nowhere.
 //
@@ -91,7 +91,7 @@ class CandidateView {
 };
 
 /// Owning lane storage. Lanes are public so builders (the cache's
-/// vectorized repack, tests) write them in place; view() validates that
+/// lane repack, tests) write them in place; view() validates that
 /// every present lane has the same length before handing out pointers.
 class CandidateSoA {
  public:

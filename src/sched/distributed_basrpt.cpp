@@ -5,7 +5,7 @@
 
 #include "common/assert.hpp"
 #include "perf/profiler.hpp"
-#include "simd/kernels.hpp"
+#include "sched/fast_basrpt.hpp"
 
 namespace basrpt::sched {
 
@@ -47,9 +47,8 @@ void DistributedBasrptScheduler::decide_into(PortId n_ports,
   key_.resize(n_cand);
   {
     perf::ScopedPhase phase(perf::Phase::kScoreKernel);
-    simd::compute_keys(simd::KeyOp::kFastBasrpt, weight, 0.0,
-                       candidates.shortest_remaining(), candidates.backlog(),
-                       n_cand, key_.data());
+    fast_basrpt_keys(weight, candidates.shortest_remaining(),
+                     candidates.backlog(), n_cand, key_.data());
   }
   for (std::size_t c = 0; c < n_cand; ++c) {
     per_ingress_[static_cast<std::size_t>(cand_ingress[c])].push_back(c);

@@ -4,9 +4,15 @@
 
 #include "common/assert.hpp"
 #include "perf/profiler.hpp"
-#include "simd/kernels.hpp"
 
 namespace basrpt::sched {
+
+void fast_basrpt_keys(double weight, const double* sr, const double* backlog,
+                      std::size_t n, double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = weight * sr[i] - backlog[i];
+  }
+}
 
 FastBasrptScheduler::FastBasrptScheduler(double v) : v_(v) {
   BASRPT_REQUIRE(v >= 0.0, "BASRPT weight V must be non-negative");
@@ -28,9 +34,8 @@ void FastBasrptScheduler::decide_into(PortId n_ports,
     // The per-VOQ SRPT representative also minimizes this key within its
     // VOQ (the backlog term is common to all the VOQ's flows).
     perf::ScopedPhase phase(perf::Phase::kScoreKernel);
-    simd::compute_keys(simd::KeyOp::kFastBasrpt, weight, 0.0,
-                       candidates.shortest_remaining(), candidates.backlog(),
-                       n, keys_.data());
+    fast_basrpt_keys(weight, candidates.shortest_remaining(),
+                     candidates.backlog(), n, keys_.data());
   }
   matcher_.match_lanes_into(keys_.data(), candidates.ingress(),
                             candidates.egress(), candidates.shortest_flow(),

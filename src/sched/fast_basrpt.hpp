@@ -9,10 +9,20 @@
 // degenerates to SRPT, V = 0 degenerates to longest-queue-first.
 #pragma once
 
+#include <cstddef>
+
 #include "matching/greedy.hpp"
 #include "sched/scheduler.hpp"
 
 namespace basrpt::sched {
+
+/// Writes the fast-BASRPT key `weight * sr[i] - backlog[i]` for i in
+/// [0, n): multiply, then subtract. The build targets baseline x86-64
+/// (no FMA), so the two roundings are fixed and the keys are
+/// reproducible bit for bit. Centralized and distributed fast BASRPT
+/// both score through this one loop.
+void fast_basrpt_keys(double weight, const double* sr, const double* backlog,
+                      std::size_t n, double* out);
 
 class FastBasrptScheduler final : public Scheduler {
  public:

@@ -14,13 +14,6 @@ void Scheduler::restore_checkpoint_state(
                      "resume");
 }
 
-void Scheduler::decide_batch(PortId n_ports, const CandidateView* views,
-                             std::size_t count, Decision* out) {
-  for (std::size_t k = 0; k < count; ++k) {
-    decide_into(n_ports, views[k], out[k]);
-  }
-}
-
 void fill_candidate(const queueing::VoqMatrix& voqs, PortId i, PortId j,
                     double unit_bytes, bool with_arrival,
                     VoqCandidate& out) {

@@ -17,7 +17,7 @@
 // on *every* arrival and completion), so the interface is built to run
 // allocation-free in steady state: candidates arrive as a CandidateView —
 // contiguous SoA lanes maintained incrementally by fabric::CandidateCache
-// and streamed by the src/simd scoring kernels — and decide_into() writes
+// and streamed by each scheduler's key loop — and decide_into() writes
 // into a caller-owned Decision whose capacity persists across
 // invocations, with implementations keeping sort/matching scratch as
 // members.
@@ -57,14 +57,6 @@ class Scheduler {
   /// reusing its capacity. The view holds at most one entry per (i, j).
   virtual void decide_into(PortId n_ports, const CandidateView& candidates,
                            Decision& out) = 0;
-
-  /// Batched decisions: `out[k]` is the decision for `views[k]`. The
-  /// default simply loops; schedulers with per-decision setup that
-  /// depends only on n_ports (matcher scratch sizing, BvN permutation
-  /// tables) amortize it across the batch. Semantics are exactly `count`
-  /// independent decide_into calls — differential tests enforce this.
-  virtual void decide_batch(PortId n_ports, const CandidateView* views,
-                            std::size_t count, Decision* out);
 
   /// Opaque internal state for checkpoint/resume. Schedulers whose
   /// decisions depend only on the candidates (everything here except the

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "perf/profiler.hpp"
-#include "simd/kernels.hpp"
 
 namespace basrpt::sched {
 
@@ -31,9 +30,11 @@ void ThresholdSrptScheduler::decide_into(PortId n_ports,
   keys_.resize(n);
   {
     perf::ScopedPhase phase(perf::Phase::kScoreKernel);
-    simd::compute_keys(simd::KeyOp::kThresholdSrpt, threshold_, kClassOffset,
-                       candidates.shortest_remaining(), candidates.backlog(),
-                       n, keys_.data());
+    const double* sr = candidates.shortest_remaining();
+    const double* backlog = candidates.backlog();
+    for (std::size_t i = 0; i < n; ++i) {
+      keys_[i] = sr[i] + (backlog[i] > threshold_ ? 0.0 : kClassOffset);
+    }
   }
   matcher_.match_lanes_into(keys_.data(), candidates.ingress(),
                             candidates.egress(), candidates.shortest_flow(),

@@ -119,6 +119,43 @@ void expect_matcher_matches_oracle(std::vector<ScoredCandidate> candidates,
   EXPECT_EQ(selected, oracle.selected_payloads);
 }
 
+TEST(Greedy, MatcherRejectsOutOfRangePorts) {
+  // A negative ingress, an ingress equal to n_left and an egress equal to
+  // n_right each throw, at the first and the last lane index, on both
+  // sides of the radix threshold.
+  const PortId n_left = 8;
+  const PortId n_right = 6;
+  GreedyMatcher matcher;
+  std::vector<std::int64_t> selected;
+  for (const std::size_t n : {std::size_t{5}, GreedyMatcher::kRadixThreshold - 1,
+                              GreedyMatcher::kRadixThreshold,
+                              std::size_t{300}}) {
+    std::vector<ScoredCandidate> good;
+    for (std::size_t k = 0; k < n; ++k) {
+      good.push_back({static_cast<PortId>(k % n_left),
+                      static_cast<PortId>(k % n_right),
+                      static_cast<double>(k % 7),
+                      static_cast<std::int64_t>(k)});
+    }
+    EXPECT_NO_THROW(match_candidates(matcher, good, n_left, n_right, selected));
+    for (const std::size_t pos : {std::size_t{0}, n - 1}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        std::vector<ScoredCandidate> bad = good;
+        if (kind == 0) {
+          bad[pos].left = -1;
+        } else if (kind == 1) {
+          bad[pos].left = n_left;
+        } else {
+          bad[pos].right = n_right;
+        }
+        EXPECT_THROW(match_candidates(matcher, bad, n_left, n_right, selected),
+                     SimulationError)
+            << "n=" << n << " pos=" << pos << " kind=" << kind;
+      }
+    }
+  }
+}
+
 TEST(Greedy, MatcherRadixMatchesStableSortOracle) {
   // Large candidate sets with deliberate score collisions: scores drawn
   // from a coarse grid (many exact ties, resolved by payload), plus a

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "matching/greedy.hpp"
 #include "matching/hungarian.hpp"
 #include "queueing/voq.hpp"
 #include "sched/bvn_scheduler.hpp"
@@ -478,6 +484,149 @@ TEST(Factory, BuildsEverySpec) {
             "exact-basrpt(V=100)");
   EXPECT_EQ(make_scheduler(SchedulerSpec::maxweight())->name(), "maxweight");
   EXPECT_EQ(make_scheduler(SchedulerSpec::fifo())->name(), "fifo");
+}
+
+// ---------------------------------------------- absolute decide oracle
+
+/// Builds a randomized candidate set as SoA lanes. Shapes stress the
+/// matcher's sort paths: exact ties and ±0.0 remaining sizes (the flow-id
+/// tiebreak and the radix sort's coarse-key runs), backlogs on both sides
+/// of a 2000-packet threshold, and (shape 1) near-sorted remaining sizes.
+CandidateSoA make_grid(Rng& rng, std::size_t n, PortId ports, int shape) {
+  CandidateSoA soa;
+  soa.with_arrival = true;
+  soa.resize_lanes(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    soa.ingress[k] = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+    soa.egress[k] = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+    soa.backlog[k] = rng.bernoulli(0.5) ? rng.uniform(0.0, 2e3)
+                                        : rng.uniform(0.0, 5e5);
+    soa.flow_count[k] = static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+    soa.shortest_flow[k] = static_cast<FlowId>(k);  // distinct
+    double sr = rng.uniform(0.0, 1e6);
+    if (rng.bernoulli(0.1)) {
+      sr = static_cast<double>(rng.uniform_int(0, 4)) * 1500.0;  // ties
+    }
+    if (rng.bernoulli(0.02)) {
+      sr = rng.bernoulli(0.5) ? 0.0 : -0.0;
+    }
+    soa.shortest_remaining[k] = sr;
+    soa.shortest_arrival[k] = rng.uniform(0.0, 10.0);
+    soa.oldest_flow[k] = static_cast<FlowId>(k);
+    soa.oldest_arrival[k] = rng.uniform(0.0, 10.0);
+  }
+  if (shape == 1) {
+    // Near-sorted: ascending sizes with a few adjacent swaps.
+    std::sort(soa.shortest_remaining.begin(), soa.shortest_remaining.end());
+    for (int p = 0; p < 3 && n > 8; ++p) {
+      const std::size_t at =
+          static_cast<std::size_t>(rng.uniform_int(1, n - 1));
+      std::swap(soa.shortest_remaining[at], soa.shortest_remaining[at - 1]);
+    }
+  }
+  return soa;
+}
+
+/// Reference greedy decision: key every candidate, stable-sort by
+/// (key, flow id), then accept each candidate whose ingress and egress
+/// are both still free.
+std::vector<FlowId> reference_decision(
+    const CandidateView& view, PortId ports,
+    const std::function<double(double sr, double backlog)>& key) {
+  struct Keyed {
+    double key;
+    std::size_t idx;
+  };
+  std::vector<Keyed> order;
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    order.push_back({key(view.shortest_remaining()[k], view.backlog()[k]), k});
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const Keyed& a, const Keyed& b) {
+                     if (a.key != b.key) {
+                       return a.key < b.key;
+                     }
+                     return view.shortest_flow()[a.idx] <
+                            view.shortest_flow()[b.idx];
+                   });
+  std::vector<char> in_used(static_cast<std::size_t>(ports), 0);
+  std::vector<char> out_used(static_cast<std::size_t>(ports), 0);
+  std::vector<FlowId> selected;
+  for (const Keyed& e : order) {
+    const auto i = static_cast<std::size_t>(view.ingress()[e.idx]);
+    const auto j = static_cast<std::size_t>(view.egress()[e.idx]);
+    if (!in_used[i] && !out_used[j]) {
+      in_used[i] = 1;
+      out_used[j] = 1;
+      selected.push_back(view.shortest_flow()[e.idx]);
+    }
+  }
+  return selected;
+}
+
+TEST(DecideOracle, GreedyPoliciesMatchKeySortAndGreedyAccept) {
+  const PortId ports = 24;
+  const double v = 2500.0;
+  const double threshold = 2000.0;
+  const double class_offset = 1e12;  // threshold-SRPT's class separator
+  struct Case {
+    const char* spec;
+    std::function<double(double, double)> key;
+  };
+  const Case cases[] = {
+      {"srpt", [](double sr, double) { return sr; }},
+      // Fast BASRPT: (V/N) * remaining - X_ij.
+      {"fast-basrpt:v=2500",
+       [&](double sr, double backlog) {
+         return v / static_cast<double>(ports) * sr - backlog;
+       }},
+      // Threshold SRPT: VOQs above the threshold first, each class by size.
+      {"threshold-srpt:threshold=2000",
+       [&](double sr, double backlog) {
+         return sr + (backlog > threshold ? 0.0 : class_offset);
+       }},
+  };
+  // n = 3 takes the matcher's comparison sort, 200 and 3000 its radix sort.
+  static_assert(matching::GreedyMatcher::kRadixThreshold > 3 &&
+                matching::GreedyMatcher::kRadixThreshold <= 200);
+  Rng rng(21);
+  for (const Case& c : cases) {
+    auto scheduler = make_scheduler(SchedulerSpec::parse(c.spec));
+    for (int shape = 0; shape < 2; ++shape) {
+      for (const std::size_t n : {3ul, 200ul, 3000ul}) {
+        const CandidateSoA soa = make_grid(rng, n, ports, shape);
+        const CandidateView view = soa.view();
+        EXPECT_EQ(scheduler->decide(ports, view).selected,
+                  reference_decision(view, ports, c.key))
+            << c.spec << " shape=" << shape << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(DecideOracle, FastBasrptKeysMatchPaperFormulaBitForBit) {
+  // fast_basrpt_keys must write weight * sr - backlog with exactly two
+  // roundings (multiply, then subtract), including the sign of a zero key
+  // and at every length, so the greedy order it feeds is reproducible.
+  Rng rng(22);
+  for (const double weight : {0.0, 2500.0 / 24.0, 1.0, 1e3}) {
+    for (int shape = 0; shape < 2; ++shape) {
+      for (const std::size_t n : {0ul, 1ul, 3ul, 7ul, 200ul, 3001ul}) {
+        const CandidateSoA soa = make_grid(rng, n, 24, shape);
+        std::vector<double> keys(n, -1.0);
+        fast_basrpt_keys(weight, soa.shortest_remaining.data(),
+                         soa.backlog.data(), n, keys.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const double product = weight * soa.shortest_remaining[i];
+          const double expected = product - soa.backlog[i];
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(keys[i]),
+                    std::bit_cast<std::uint64_t>(expected))
+              << "weight=" << weight << " shape=" << shape << " n=" << n
+              << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ decision checking
