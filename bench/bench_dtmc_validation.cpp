@@ -58,9 +58,8 @@ int main(int argc, char** argv) {
     session.apply(sim_config);
     sweep.add_slotted(
         "load " + stats::cell(2 * per_voq, 2), sim_config,
-        [&session] {
-          return session.wrap(
-              sched::make_scheduler(sched::SchedulerSpec::maxweight()));
+        [] {
+          return sched::make_scheduler(sched::SchedulerSpec::maxweight());
         },
         [rates, unit, slots, seed] {
           return switchsim::bernoulli_arrivals(rates, unit, slots, Rng(seed));

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     session.apply(config);
     sweep.add_slotted(
         label, config,
-        [&session, spec] { return session.wrap(sched::make_scheduler(spec)); },
+        [spec] { return sched::make_scheduler(spec); },
         fig1_stream,
         [&table, label](const switchsim::SlottedResult& result) {
           const auto q = result.fct.summary(stats::FlowClass::kQuery);

@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     config.horizon = horizon;
     session.apply(config);
     config.tracer = tracer;  // this cell's trace shard under --jobs
-    auto scheduler = session.wrap(sched::make_scheduler(cell.spec));
+    auto scheduler = sched::make_scheduler(cell.spec);
     workload::VectorTraffic replay(recorder.recorded());
     const auto r = run_flow_sim(config, *scheduler, replay);
     const auto q = r.fct.summary(stats::FlowClass::kQuery);

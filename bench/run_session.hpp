@@ -46,7 +46,6 @@
 #include "obs/trace.hpp"
 #include "perf/profiler.hpp"
 #include "report/metrics_json.hpp"
-#include "sched/instrumented.hpp"
 
 namespace basrpt::bench {
 
@@ -118,8 +117,7 @@ class RunSession {
   }
 
   /// Wires the shared flags into one cell config: tracer, heartbeat,
-  /// fault plan, watchdog and --paranoid for every simulator, scheduler
-  /// instrumentation for experiments. With no flags set it changes
+  /// fault plan, watchdog and --paranoid. With no flags set it changes
   /// nothing, so outputs stay bit-identical.
   template <typename Config>
   void apply(Config& config) {
@@ -138,21 +136,6 @@ class RunSession {
     if (paranoid_) {
       config.paranoid = true;
     }
-    if constexpr (requires { config.instrument_scheduler; }) {
-      if (!metrics_path_.empty()) {
-        config.instrument_scheduler = true;
-      }
-    }
-  }
-
-  /// Wraps a directly-constructed scheduler in the instrumentation
-  /// decorator when --metrics was requested; a pass-through otherwise.
-  sched::SchedulerPtr wrap(sched::SchedulerPtr scheduler) {
-    if (metrics_path_.empty()) {
-      return scheduler;
-    }
-    return std::make_unique<sched::InstrumentedScheduler>(
-        std::move(scheduler));
   }
 
   bool fault_active() const { return !plan_.empty(); }

@@ -8,7 +8,6 @@
 // archive the exact input of a published figure.
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
@@ -17,7 +16,6 @@
 #include "obs/trace.hpp"
 #include "report/metrics_json.hpp"
 #include "sched/factory.hpp"
-#include "sched/instrumented.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
@@ -71,10 +69,6 @@ int main(int argc, char** argv) {
        {sched::SchedulerSpec::srpt(), sched::SchedulerSpec::fast_basrpt(400),
         sched::SchedulerSpec::fifo()}) {
     auto scheduler = sched::make_scheduler(spec);
-    if (want_metrics) {
-      scheduler = std::make_unique<sched::InstrumentedScheduler>(
-          std::move(scheduler));
-    }
     workload::VectorTraffic replay(
         workload::read_trace_file(cli.get_text("out")));
     flowsim::FlowSimConfig config;

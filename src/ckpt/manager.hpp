@@ -9,7 +9,6 @@
 // past a checkpoint that captures an already-wedged state).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -19,7 +18,6 @@ struct CheckpointManagerConfig {
   std::string dir;          // created if missing
   std::string run_id;       // filename stem, e.g. "fig5_stability"
   int keep_last = 3;        // rotation depth; >= 1
-  double min_wall_interval_sec = 0.0;  // throttle for maybe_write()
 };
 
 class CheckpointManager {
@@ -30,11 +28,6 @@ class CheckpointManager {
   /// checkpoints, returns the final path. Throws ConfigError on I/O
   /// failure (callers decide whether a failed checkpoint is fatal).
   std::string write(const std::string& payload);
-
-  /// Cadence-friendly write: skipped (returns empty string) when the
-  /// last write was less than min_wall_interval_sec ago. Signal/stall
-  /// paths use write() directly — those must never be throttled.
-  std::string maybe_write(const std::string& payload);
 
   /// Next sequence number to be assigned (monotonic per manager).
   std::uint64_t sequence() const { return seq_; }
@@ -60,8 +53,6 @@ class CheckpointManager {
   CheckpointManagerConfig config_;
   std::uint64_t seq_ = 0;
   std::uint64_t writes_ = 0;
-  bool have_last_write_ = false;
-  std::chrono::steady_clock::time_point last_write_{};
 };
 
 }  // namespace basrpt::ckpt

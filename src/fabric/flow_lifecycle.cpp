@@ -1,5 +1,7 @@
 #include "fabric/flow_lifecycle.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "perf/profiler.hpp"
 
@@ -8,7 +10,19 @@ namespace basrpt::fabric {
 FlowLifecycle::FlowLifecycle(queueing::VoqMatrix* voqs,
                              stats::FctAggregator& fct,
                              obs::FlowTracer* tracer)
-    : voqs_(voqs), fct_(fct), tracer_(tracer) {}
+    : voqs_(voqs), fct_(fct), tracer_(tracer) {
+  if (voqs_ != nullptr && obs::enabled()) {
+    obs::Registry& reg = obs::Registry::active();
+    decisions_ = &reg.counter("sched.decisions");
+    preemptions_ = &reg.counter("sched.preemptions");
+    decision_ns_ = &reg.histogram("sched.decision_ns");
+    candidates_ = &reg.histogram("sched.candidates");
+    matching_size_ = &reg.histogram("sched.matching_size");
+    // A matching selects at most one flow per ingress port.
+    decided_.reserve(static_cast<std::size_t>(voqs_->ports()));
+    decided_scratch_.reserve(static_cast<std::size_t>(voqs_->ports()));
+  }
+}
 
 void FlowLifecycle::begin_run() {
   if (tracer_ != nullptr) {
@@ -65,6 +79,32 @@ FlowId FlowLifecycle::requeue(const queueing::Flow& evicted, double now) {
                         static_cast<double>(evicted.remaining.count));
   }
   return id;
+}
+
+void FlowLifecycle::decide(sched::Scheduler& scheduler, PortId n_ports,
+                           const sched::CandidateView& candidates,
+                           sched::Decision& out) {
+  {
+    const perf::ScopedPhase phase(perf::Phase::kDecide, decision_ns_);
+    scheduler.decide_into(n_ports, candidates, out);
+  }
+  if (decision_ns_ == nullptr) {
+    return;
+  }
+  decisions_->add(1);
+  candidates_->add(candidates.size());
+  matching_size_->add(out.selected.size());
+  decided_scratch_.assign(out.selected.begin(), out.selected.end());
+  std::sort(decided_scratch_.begin(), decided_scratch_.end());
+  std::int64_t preempted = 0;
+  for (const FlowId id : decided_) {
+    if (!std::binary_search(decided_scratch_.begin(), decided_scratch_.end(),
+                            id)) {
+      ++preempted;
+    }
+  }
+  preemptions_->add(preempted);
+  decided_.swap(decided_scratch_);
 }
 
 void FlowLifecycle::apply_decision(const std::vector<FlowId>& selected,

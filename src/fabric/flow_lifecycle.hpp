@@ -1,9 +1,10 @@
 // One implementation of the flow lifecycle shared by all three
 // simulators (switchsim, flowsim, pktsim): admission (flow-id
 // allocation, arrival accounting, VOQ insertion, tracer notification),
-// decision application (preemption / first-service tracing against the
-// previous selection), and completion recording (FCT aggregation +
-// tracer notification).
+// the decide site (the scheduler call, timed once for both the profile
+// and the sched.* metrics), decision application (preemption /
+// first-service tracing against the previous selection), and completion
+// recording (FCT aggregation + tracer notification).
 //
 // Before this class each simulator duplicated the logic, and the two
 // matching simulators each carried an O(S²) std::find loop to diff the
@@ -17,9 +18,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queueing/flow.hpp"
 #include "queueing/voq.hpp"
+#include "sched/scheduler.hpp"
 #include "stats/fct.hpp"
 
 namespace basrpt::fabric {
@@ -42,8 +45,11 @@ class FlowLifecycle {
  public:
   /// `voqs` may be null for simulators that keep their own flow table
   /// (pktsim); admission then only allocates ids and accounts arrivals,
-  /// and apply_decision must not be called. `tracer` null disables all
-  /// tracing at one branch per hook.
+  /// and decide/apply_decision must not be called. `tracer` null
+  /// disables all tracing at one branch per hook. With a VoqMatrix and
+  /// obs::enabled(), the sched.* metrics are resolved here, once per
+  /// run, in the calling thread's Registry::active(); that registry must
+  /// outlive the lifecycle and not be reset while it decides.
   FlowLifecycle(queueing::VoqMatrix* voqs, stats::FctAggregator& fct,
                 obs::FlowTracer* tracer);
 
@@ -64,6 +70,17 @@ class FlowLifecycle {
   /// caller must already have removed the flow from the VoqMatrix.
   /// Traces as a preemption followed by an arrival. Returns the new id.
   FlowId requeue(const queueing::Flow& evicted, double now);
+
+  /// The simulators' one decide site: `scheduler.decide_into` under
+  /// perf::ScopedPhase(kDecide). When the sched.* metrics are resolved
+  /// it also records sched.decisions, sched.decision_ns (from the same
+  /// clock pair as the profile), sched.candidates, sched.matching_size
+  /// and sched.preemptions. All describe the scheduler's raw output;
+  /// preemptions count the previous decision's flows missing from this
+  /// one, completed flows included (a completion-driven reshuffle is
+  /// churn too). Allocation-free: the churn scratch is reserved up front.
+  void decide(sched::Scheduler& scheduler, PortId n_ports,
+              const sched::CandidateView& candidates, sched::Decision& out);
 
   /// Applies a new scheduling decision for tracing purposes: flows from
   /// the previous selection that are still queued but absent from
@@ -124,6 +141,17 @@ class FlowLifecycle {
 
   std::vector<FlowId> prev_selected_;        // in decision order
   std::unordered_set<FlowId> selected_set_;  // diff scratch
+
+  // sched.* handles; decision_ns_ == nullptr means metrics are off.
+  obs::Counter* decisions_ = nullptr;
+  obs::Counter* preemptions_ = nullptr;
+  obs::LatencyHistogram* decision_ns_ = nullptr;
+  obs::LatencyHistogram* candidates_ = nullptr;
+  obs::LatencyHistogram* matching_size_ = nullptr;
+  // The previous raw decision, sorted, for the churn count; it is
+  // observability, so it is not part of State.
+  std::vector<FlowId> decided_;
+  std::vector<FlowId> decided_scratch_;
 };
 
 }  // namespace basrpt::fabric

@@ -17,7 +17,6 @@
 #include "fabric/flow_lifecycle.hpp"
 #include "fault/auditor.hpp"
 #include "obs/metrics.hpp"
-#include "perf/profiler.hpp"
 #include "sim/engine.hpp"
 #include "topo/fabric_rates.hpp"
 
@@ -470,12 +469,9 @@ class Engine {
       if (candidates.empty()) {
         return;
       }
-      {
-        const perf::ScopedPhase phase(perf::Phase::kDecide);
-        scheduler_.decide_into(static_cast<PortId>(fabric_.hosts()),
-                               candidates, decision_);
-      }
-      if (config_.validate_decisions) {
+      lifecycle_.decide(scheduler_, static_cast<PortId>(fabric_.hosts()),
+                        candidates, decision_);
+      if (config_.paranoid) {
         BASRPT_ASSERT(sched::decision_is_matching(decision_, voqs_),
                       "scheduler violated the crossbar constraint");
       }

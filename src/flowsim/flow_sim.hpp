@@ -49,7 +49,6 @@ struct FlowSimConfig {
   double packet_bytes = 1500.0;  // packet unit for scheduler keys
   PortId watched_src = 0;        // VOQ traced as "queue length at a port"
   PortId watched_dst = 1;
-  bool validate_decisions = false;  // assert crossbar constraint per event
   /// Minimum gap between decision recomputations triggered by arrivals.
   /// The paper updates on *every* arrival and completion, which is the
   /// cost Sec. IV-C worries about; a positive gap batches arrival-driven
@@ -71,9 +70,11 @@ struct FlowSimConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   /// No-progress stall watchdog (see fault::Watchdog); default-disabled.
   fault::WatchdogConfig watchdog{};
-  /// Conservation auditing at every sampling instant (--paranoid):
-  /// admitted bytes/flows must equal in-flight + completed, or the run
-  /// aborts with fault::InvariantError naming the violated ledger entry.
+  /// Self-checks (--paranoid): conservation auditing at every sampling
+  /// instant (admitted bytes/flows must equal in-flight + completed, or
+  /// the run aborts with fault::InvariantError naming the violated
+  /// ledger entry), the crossbar constraint on every decision, and a
+  /// route + max-min re-solve of every certified rate set.
   bool paranoid = false;
 };
 

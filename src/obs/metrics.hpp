@@ -146,10 +146,9 @@ class LatencyHistogram {
 
 /// Named-metric registry. Lookups return stable references (std::map
 /// nodes never move), so hot paths resolve a metric once and keep the
-/// pointer. `global()` is the process-wide instance; the simulators and
-/// the InstrumentedScheduler record into `active()`, which is global()
-/// unless the calling thread has bound a shard (ScopedRegistryBind).
-/// Tests construct their own.
+/// pointer. `global()` is the process-wide instance; the simulators
+/// record into `active()`, which is global() unless the calling thread
+/// has bound a shard (ScopedRegistryBind). Tests construct their own.
 class Registry {
  public:
   static Registry& global();
@@ -222,35 +221,26 @@ class ScopedRegistryBind {
 };
 
 /// Records the wall-clock lifetime of a scope into a LatencyHistogram,
-/// in nanoseconds. Arms only when obs::enabled() (the off path never
-/// reads the clock) unless `always` forces it — the
-/// InstrumentedScheduler uses `always` because wrapping a scheduler is
-/// itself the opt-in.
+/// in nanoseconds. Arms only when obs::enabled(); the off path never
+/// reads the clock.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(LatencyHistogram& hist, bool always = false)
-      : hist_((always || enabled()) ? &hist : nullptr) {
+  explicit ScopedTimer(LatencyHistogram& hist)
+      : hist_(enabled() ? &hist : nullptr) {
     if (hist_ != nullptr) {
       start_ = std::chrono::steady_clock::now();
     }
   }
-  ~ScopedTimer() { stop(); }
+  ~ScopedTimer() {
+    if (hist_ != nullptr) {
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
+      hist_->add(static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
+    }
+  }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Records now instead of at scope exit; returns the elapsed
-  /// nanoseconds (0 when disarmed). Idempotent.
-  std::uint64_t stop() {
-    if (hist_ == nullptr) {
-      return 0;
-    }
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    hist_->add(static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
-    hist_ = nullptr;
-    return static_cast<std::uint64_t>(ns < 0 ? 0 : ns);
-  }
 
  private:
   LatencyHistogram* hist_;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/assert.hpp"
+#include "common/json_escape.hpp"
 
 namespace basrpt::perf::json {
 
@@ -35,33 +36,7 @@ void append_number(std::string& out, double v) {
 
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  out += json_escape(s);
   out += '"';
 }
 

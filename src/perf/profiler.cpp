@@ -255,22 +255,30 @@ void Profiler::write_json_file(const std::string& path) const {
 
 // ----------------------------------------------------------- ScopedPhase
 
-ScopedPhase::ScopedPhase(Phase phase) : armed_(profiling()), phase_(phase) {
-  if (!armed_) {
+ScopedPhase::ScopedPhase(Phase phase, obs::LatencyHistogram* sink)
+    : armed_(profiling()), phase_(phase), sink_(sink) {
+  if (armed_) {
+    parent_ = t_current_scope;
+    t_current_scope = this;
+    prev_phase_tag_ = t_phase_tag;
+    t_phase_tag = static_cast<std::uint8_t>(phase) + 1;
+  } else if (sink_ == nullptr) {
     return;
   }
-  parent_ = t_current_scope;
-  t_current_scope = this;
-  prev_phase_tag_ = t_phase_tag;
-  t_phase_tag = static_cast<std::uint8_t>(phase) + 1;
   start_ns_ = now_ns();
 }
 
 ScopedPhase::~ScopedPhase() {
-  if (!armed_) {
+  if (!armed_ && sink_ == nullptr) {
     return;
   }
   const std::uint64_t elapsed = now_ns() - start_ns_;
+  if (sink_ != nullptr) {
+    sink_->add(elapsed);
+  }
+  if (!armed_) {
+    return;
+  }
   t_current_scope = parent_;
   t_phase_tag = prev_phase_tag_;
   if (parent_ != nullptr) {

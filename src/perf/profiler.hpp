@@ -8,7 +8,9 @@
 //
 //  * Phase scopes cost one relaxed atomic load when profiling is off —
 //    no clock read, no TLS write (the same discipline as
-//    obs::ScopedTimer).
+//    obs::ScopedTimer). A scope given a histogram sink reads the clock
+//    once at each end either way, so one clock pair serves a metric and
+//    the profile.
 //  * The operator new/delete interposer lives in this translation unit,
 //    so a binary that never references the profiler never links it and
 //    keeps the toolchain allocator untouched. Binaries that do link it
@@ -152,9 +154,11 @@ class Profiler {
 /// profiling is off. While armed it maintains the thread-local current
 /// phase used for allocation attribution, accumulates child time into
 /// the enclosing scope, and records elapsed/self time on destruction.
+/// A non-null `sink` also receives the elapsed nanoseconds, with
+/// profiling on or off; only the profile depends on profiling().
 class ScopedPhase {
  public:
-  explicit ScopedPhase(Phase phase);
+  explicit ScopedPhase(Phase phase, obs::LatencyHistogram* sink = nullptr);
   ~ScopedPhase();
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
@@ -162,6 +166,7 @@ class ScopedPhase {
  private:
   bool armed_;
   Phase phase_;
+  obs::LatencyHistogram* sink_;
   std::uint64_t start_ns_ = 0;
   std::uint64_t child_ns_ = 0;
   ScopedPhase* parent_ = nullptr;

@@ -1,46 +1,14 @@
 #include "report/metrics_json.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "common/assert.hpp"
+#include "common/json_escape.hpp"
 
 namespace basrpt::report {
 
 namespace {
-
-/// Metric names are code-controlled identifiers, but escape the JSON
-/// specials anyway so a stray name can't corrupt the document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_histogram_json(std::ostream& out,
                           const obs::LatencyHistogram& h) {

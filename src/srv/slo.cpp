@@ -1,45 +1,15 @@
 #include "srv/slo.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "common/assert.hpp"
+#include "common/json_escape.hpp"
 #include "obs/metrics.hpp"
 
 namespace basrpt::srv {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 double ns_to_ms(double ns) { return ns / 1e6; }
 

@@ -14,7 +14,6 @@
 #include "fault/auditor.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
-#include "perf/profiler.hpp"
 
 namespace basrpt::switchsim {
 
@@ -277,10 +276,7 @@ SlottedResult run_slotted(const SlottedConfig& config,
       }
     } else if (!candidates.empty()) {
       ++result.scheduler_invocations;
-      {
-        const perf::ScopedPhase phase(perf::Phase::kDecide);
-        scheduler.decide_into(config.n_ports, candidates, decision);
-      }
+      lifecycle.decide(scheduler, config.n_ports, candidates, decision);
       BASRPT_ASSERT(sched::decision_is_matching(decision, voqs),
                     "scheduler violated the crossbar constraint");
     }

@@ -1,4 +1,5 @@
-// Unit tests for src/common: units, assertions, RNG, CLI parsing.
+// Unit tests for src/common: units, assertions, RNG, CLI parsing, JSON
+// string escaping.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "common/cli.hpp"
+#include "common/json_escape.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -271,6 +273,15 @@ TEST(Cli, HelpReturnsFalseAndPrintsOptions) {
   EXPECT_FALSE(cli.parse(2, argv));
   EXPECT_NE(cli.usage().find("hosts"), std::string::npos);
   EXPECT_NE(cli.usage().find("demo description"), std::string::npos);
+}
+
+TEST(JsonEscape, EscapesSpecialsAndControlCharacters) {
+  EXPECT_EQ(json_escape("sched.decision_ns"), "sched.decision_ns");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("l1\nl2\tx\ry"), "l1\\nl2\\tx\\ry");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes
+  EXPECT_EQ(json_escape(""), "");
 }
 
 }  // namespace

@@ -389,6 +389,131 @@ TEST(SweepDifferential, ParallelSlottedCellsMatchSequentialBitwise) {
   }
 }
 
+/// One sweep cell's share of the decide-site metrics, read from the
+/// global registry at its commit (a parallel cell's shard is merged
+/// before its commit runs, so the deltas are per cell at any --jobs).
+struct CellSched {
+  std::int64_t decisions = 0;
+  std::int64_t preemptions = 0;
+  std::uint64_t decision_ns_samples = 0;
+  std::uint64_t candidates_sum = 0;
+  std::uint64_t matching_sum = 0;
+  std::uint64_t slotted_invocations = 0;  // 0 for flowsim cells
+  bool operator==(const CellSched&) const = default;
+};
+
+CellSched sched_totals() {
+  const obs::Registry& g = obs::Registry::global();
+  const auto counter = [&g](const char* name) {
+    const auto it = g.counters().find(name);
+    return it == g.counters().end() ? 0 : it->second.value();
+  };
+  const auto hist = [&g](const char* name) {
+    const auto it = g.histograms().find(name);
+    return it == g.histograms().end() ? obs::LatencyHistogram{} : it->second;
+  };
+  CellSched t;
+  t.decisions = counter("sched.decisions");
+  t.preemptions = counter("sched.preemptions");
+  t.decision_ns_samples = hist("sched.decision_ns").count();
+  t.candidates_sum = hist("sched.candidates").sum();
+  t.matching_sum = hist("sched.matching_size").sum();
+  return t;
+}
+
+/// Two flowsim and two slotted cells with obs on; returns each cell's
+/// sched.* delta and leaves the sweep's final registry in `final_out`.
+std::vector<CellSched> run_observed_mixed_sweep(int jobs,
+                                                obs::Registry& final_out) {
+  obs::Registry::global().reset();
+  std::vector<CellSched> cells;
+  CellSched seen;
+  const auto record = [&](std::uint64_t invocations) {
+    const CellSched now = sched_totals();
+    CellSched d;
+    d.decisions = now.decisions - seen.decisions;
+    d.preemptions = now.preemptions - seen.preemptions;
+    d.decision_ns_samples = now.decision_ns_samples - seen.decision_ns_samples;
+    d.candidates_sum = now.candidates_sum - seen.candidates_sum;
+    d.matching_sum = now.matching_sum - seen.matching_sum;
+    d.slotted_invocations = invocations;
+    cells.push_back(d);
+    seen = now;
+  };
+  const auto rates = switchsim::skewed_rates(4, 0.8, 0.6);
+  switchsim::SizeMix mix;
+  mix.small = 1;
+  mix.large = 8;
+  mix.p_small = 0.9;
+  exec::Sweep sweep;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    sweep.add("flow" + std::to_string(i),
+              tiny_config(exec::derive_cell_seed(5, i)),
+              [&](const core::ExperimentResult&) { record(0); });
+    switchsim::SlottedConfig config;
+    config.n_ports = 4;
+    config.horizon = 2000;
+    config.sample_every = 16;
+    const double v = i == 0 ? 10.0 : 1000.0;
+    sweep.add_slotted(
+        "slot" + std::to_string(i), config,
+        [v] {
+          return sched::make_scheduler(sched::SchedulerSpec::fast_basrpt(v));
+        },
+        [rates, mix] {
+          return switchsim::bernoulli_arrivals(rates, mix, 2000, Rng(3));
+        },
+        [&](const switchsim::SlottedResult& r) {
+          record(r.scheduler_invocations);
+        });
+  }
+  sweep.run(jobs);
+  final_out = obs::Registry::global();
+  obs::Registry::global().reset();
+  return cells;
+}
+
+void expect_same_histogram(const obs::Registry& a, const obs::Registry& b,
+                           const std::string& name) {
+  SCOPED_TRACE(name);
+  const obs::LatencyHistogram& x = a.histograms().at(name);
+  const obs::LatencyHistogram& y = b.histograms().at(name);
+  EXPECT_EQ(x.count(), y.count());
+  EXPECT_EQ(x.sum(), y.sum());
+  EXPECT_EQ(x.min(), y.min());
+  EXPECT_EQ(x.max(), y.max());
+  for (std::size_t k = 0; k < obs::LatencyHistogram::kBuckets; ++k) {
+    EXPECT_EQ(x.bucket_count(k), y.bucket_count(k)) << k;
+  }
+}
+
+TEST(SweepDifferential, DecideSiteMetricsMatchAtAnyJobs) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Registry final_seq, final_par;
+  const auto seq = run_observed_mixed_sweep(1, final_seq);
+  const auto par = run_observed_mixed_sweep(3, final_par);
+  obs::set_enabled(was_enabled);
+
+  ASSERT_EQ(seq.size(), 4u);
+  EXPECT_EQ(seq, par);
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_GT(seq[i].decisions, 0);
+    // One sched.decision_ns sample per decision: one clock pair each.
+    EXPECT_EQ(seq[i].decision_ns_samples,
+              static_cast<std::uint64_t>(seq[i].decisions));
+    if (i % 2 == 1) {  // slotted cells decide once per invocation
+      EXPECT_EQ(static_cast<std::uint64_t>(seq[i].decisions),
+                seq[i].slotted_invocations);
+    }
+  }
+  // The per-cell deltas cover counts and sums; min, max and buckets are
+  // compared on the merged histograms.
+  expect_same_histogram(final_seq, final_par, "sched.candidates");
+  expect_same_histogram(final_seq, final_par, "sched.matching_size");
+}
+
 // --------------------------------------- run session: parallel resume
 
 struct TempDir {

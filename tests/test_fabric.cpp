@@ -1,11 +1,13 @@
 // Tests for src/fabric: CandidateCache differential equivalence against
-// build_candidates (the from-scratch oracle), FlowLifecycle accounting
-// and preemption-diff semantics, and end-to-end tracer regressions that
-// pin the refactored simulators to the event streams the pre-fabric
-// code emitted on the same scripted runs.
+// build_candidates (the from-scratch oracle), FlowLifecycle accounting,
+// preemption-diff semantics and decide-site metrics, and end-to-end
+// tracer regressions that pin the refactored simulators to the event
+// streams the pre-fabric code emitted on the same scripted runs.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -13,6 +15,7 @@
 #include "fabric/candidate_cache.hpp"
 #include "fabric/flow_lifecycle.hpp"
 #include "flowsim/flow_sim.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pktsim/packet_sim.hpp"
 #include "queueing/voq.hpp"
@@ -235,6 +238,91 @@ TEST(FlowLifecycle, PreemptionDiffKeepsOrderAndSkipsCompleted) {
   // Re-selecting a previously served flow emits nothing new for it.
   lifecycle.apply_decision({4, 1}, /*now=*/3.0);
   EXPECT_EQ(tracer.size(), 11u);
+}
+
+// Scheduler whose decisions are scripted, so the decide site's counters
+// can be checked against hand-computed selected-set diffs.
+class ScriptedScheduler : public sched::Scheduler {
+ public:
+  explicit ScriptedScheduler(std::vector<std::vector<FlowId>> script)
+      : script_(std::move(script)) {}
+  std::string name() const override { return "scripted"; }
+  void decide_into(PortId, const sched::CandidateView&,
+                   sched::Decision& out) override {
+    out.selected.clear();
+    if (calls_ < script_.size()) {
+      out.selected = script_[calls_];
+    }
+    ++calls_;
+  }
+
+ private:
+  std::vector<std::vector<FlowId>> script_;
+  std::size_t calls_ = 0;
+};
+
+std::vector<sched::VoqCandidate> fake_candidates(std::size_t n) {
+  std::vector<sched::VoqCandidate> candidates(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    candidates[i].ingress = static_cast<PortId>(i);
+    candidates[i].egress = static_cast<PortId>(i);
+  }
+  return candidates;
+}
+
+TEST(FlowLifecycle, DecideCountsDecisionsAndPreemptions) {
+  const bool was_enabled = obs::enabled();
+  obs::Registry registry;
+  const obs::ScopedRegistryBind bind(&registry);
+  queueing::VoqMatrix voqs(4);
+  stats::FctAggregator fct;
+  sched::CandidateSoA storage;
+  sched::Decision out;
+
+  // With obs off the decide site records nothing.
+  obs::set_enabled(false);
+  {
+    FlowLifecycle quiet(&voqs, fct, /*tracer=*/nullptr);
+    ScriptedScheduler scripted({{1, 2}});
+    quiet.decide(scripted, 4,
+                 sched::CandidateView::from_aos(fake_candidates(3), storage),
+                 out);
+    EXPECT_EQ(out.selected, (std::vector<FlowId>{1, 2}));
+    EXPECT_TRUE(registry.empty());
+  }
+
+  obs::set_enabled(true);
+  FlowLifecycle lifecycle(&voqs, fct, /*tracer=*/nullptr);
+  ScriptedScheduler scripted({{1, 2}, {2, 3}, {}, {5}});
+  const std::size_t n_candidates[] = {3, 2, 0, 1};
+  // Nothing before; flow 1 dropped; 2 and 3 dropped; {} -> {5} drops none.
+  const std::int64_t preempted[] = {0, 1, 2, 0};
+  std::int64_t total = 0;
+  for (std::size_t k = 0; k < 4; ++k) {
+    SCOPED_TRACE(k);
+    lifecycle.decide(scripted, 4,
+                     sched::CandidateView::from_aos(
+                         fake_candidates(n_candidates[k]), storage),
+                     out);
+    total += preempted[k];
+    EXPECT_EQ(registry.counters().at("sched.preemptions").value(), total);
+  }
+  obs::set_enabled(was_enabled);
+
+  EXPECT_EQ(out.selected, std::vector<FlowId>{5});  // raw output untouched
+  EXPECT_EQ(registry.counters().at("sched.decisions").value(), 4);
+  EXPECT_EQ(registry.counters().at("sched.preemptions").value(), 3);
+  EXPECT_EQ(registry.histograms().at("sched.decision_ns").count(), 4u);
+  const obs::LatencyHistogram& candidates =
+      registry.histograms().at("sched.candidates");
+  EXPECT_EQ(candidates.count(), 4u);
+  EXPECT_EQ(candidates.sum(), 6u);
+  EXPECT_EQ(candidates.max(), 3u);
+  const obs::LatencyHistogram& matching =
+      registry.histograms().at("sched.matching_size");
+  EXPECT_EQ(matching.count(), 4u);
+  EXPECT_EQ(matching.sum(), 5u);
+  EXPECT_EQ(matching.max(), 2u);
 }
 
 // ------------------------------------------- tracer regressions (seed)

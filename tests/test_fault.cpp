@@ -533,7 +533,7 @@ flowsim::FlowSimConfig fault_sim_config(double horizon_s) {
   config.fabric = topo::small_fabric(2, 4, 2);
   config.horizon = seconds(horizon_s);
   config.sample_every = milliseconds(5.0);
-  config.validate_decisions = true;
+  config.paranoid = true;
   return config;
 }
 

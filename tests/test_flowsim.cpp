@@ -31,7 +31,7 @@ FlowSimConfig tiny_config(double horizon_s = 1.0) {
   config.fabric = topo::small_fabric(2, 4, 2);
   config.horizon = seconds(horizon_s);
   config.sample_every = milliseconds(1.0);
-  config.validate_decisions = true;
+  config.paranoid = true;
   return config;
 }
 

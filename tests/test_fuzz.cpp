@@ -259,7 +259,7 @@ TEST_P(FlowSimConservation, OfferedBytesAreDeliveredOrQueued) {
   flowsim::FlowSimConfig config;
   config.fabric = topo::small_fabric(2, 4, 2);
   config.horizon = seconds(0.25);
-  config.validate_decisions = true;
+  config.paranoid = true;
 
   Rng rng(31);
   auto traffic = workload::paper_mix(0.85, 0.15, 2, 4, gbps(10.0),

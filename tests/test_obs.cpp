@@ -1,7 +1,6 @@
 // Unit tests for src/obs: metrics registry, log-scale histogram,
 // ScopedTimer arming, flow tracer + Chrome JSON well-formedness,
-// heartbeat pacing, the InstrumentedScheduler decorator, and the
-// metrics exporters.
+// heartbeat pacing, and the metrics exporters.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -15,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/metrics_json.hpp"
-#include "sched/instrumented.hpp"
 
 namespace basrpt {
 namespace {
@@ -256,21 +254,15 @@ TEST(Registry, ReturnsStableReferencesAndResets) {
   EXPECT_TRUE(registry.empty());
 }
 
-TEST(ScopedTimer, ArmsOnlyWhenEnabledOrForced) {
+TEST(ScopedTimer, ArmsOnlyWhenEnabled) {
   const bool was_enabled = obs::enabled();
   obs::LatencyHistogram h;
   obs::set_enabled(false);
   { obs::ScopedTimer t(h); }
   EXPECT_EQ(h.count(), 0u);
-  {
-    obs::ScopedTimer t(h, /*always=*/true);
-    t.stop();
-    t.stop();  // idempotent
-  }
-  EXPECT_EQ(h.count(), 1u);
   obs::set_enabled(true);
   { obs::ScopedTimer t(h); }
-  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.count(), 1u);
   obs::set_enabled(was_enabled);
 }
 
@@ -342,74 +334,6 @@ TEST(FlowTracer, JsonlOneValidObjectPerLine) {
   EXPECT_EQ(n, 2);
   EXPECT_NE(out.str().find("\"arrival\""), std::string::npos);
   EXPECT_NE(out.str().find("\"completion\""), std::string::npos);
-}
-
-// Scheduler whose decisions are scripted, so the decorator's counters
-// can be checked against hand-computed selected-set diffs.
-class ScriptedScheduler : public sched::Scheduler {
- public:
-  explicit ScriptedScheduler(std::vector<std::vector<sched::FlowId>> script)
-      : script_(std::move(script)) {}
-  std::string name() const override { return "scripted"; }
-  void decide_into(sched::PortId, const sched::CandidateView&,
-                   sched::Decision& out) override {
-    out.selected.clear();
-    if (calls_ < script_.size()) {
-      out.selected = script_[calls_];
-    }
-    ++calls_;
-  }
-
- private:
-  std::vector<std::vector<sched::FlowId>> script_;
-  std::size_t calls_ = 0;
-};
-
-std::vector<sched::VoqCandidate> fake_candidates(std::size_t n) {
-  std::vector<sched::VoqCandidate> candidates(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    candidates[i].ingress = static_cast<sched::PortId>(i);
-    candidates[i].egress = static_cast<sched::PortId>(i);
-  }
-  return candidates;
-}
-
-TEST(InstrumentedScheduler, CountsDecisionsAndPreemptions) {
-  obs::Registry registry;
-  auto instrumented = sched::InstrumentedScheduler(
-      std::make_unique<ScriptedScheduler>(std::vector<std::vector<
-          sched::FlowId>>{{1, 2}, {2, 3}, {}, {5}}),
-      &registry, "test");
-  EXPECT_EQ(instrumented.name(), "scripted");
-
-  sched::CandidateSoA storage;
-  instrumented.decide(
-      4, sched::CandidateView::from_aos(fake_candidates(3), storage));
-  EXPECT_EQ(instrumented.last_candidates(), 3u);
-  EXPECT_EQ(instrumented.last_matching_size(), 2u);
-  EXPECT_EQ(instrumented.last_preemptions(), 0u);  // nothing before
-
-  instrumented.decide(
-      4, sched::CandidateView::from_aos(fake_candidates(2), storage));
-  EXPECT_EQ(instrumented.last_preemptions(), 1u);  // flow 1 dropped
-
-  instrumented.decide(
-      4, sched::CandidateView::from_aos(fake_candidates(0), storage));
-  EXPECT_EQ(instrumented.last_preemptions(), 2u);  // 2 and 3 dropped
-  EXPECT_EQ(instrumented.last_matching_size(), 0u);
-
-  instrumented.decide(
-      4, sched::CandidateView::from_aos(fake_candidates(1), storage));
-  EXPECT_EQ(instrumented.last_preemptions(), 0u);  // {} -> {5} drops none
-
-  EXPECT_EQ(instrumented.decisions(), 4u);
-  EXPECT_EQ(instrumented.preemptions(), 3u);
-  EXPECT_EQ(registry.counters().at("test.decisions").value(), 4);
-  EXPECT_EQ(registry.counters().at("test.preemptions").value(), 3);
-  EXPECT_EQ(registry.histograms().at("test.decision_ns").count(), 4u);
-  EXPECT_EQ(registry.histograms().at("test.candidates").count(), 4u);
-  EXPECT_EQ(registry.histograms().at("test.candidates").max(), 3u);
-  EXPECT_EQ(registry.histograms().at("test.matching_size").max(), 2u);
 }
 
 TEST(Heartbeat, BeatsWithCustomReporterAndFlush) {

@@ -1,5 +1,5 @@
-// Unit tests for src/stats: moments, percentiles, histogram, time
-// series / trend classification, FCT aggregation, tables.
+// Unit tests for src/stats: moments, percentiles, time series / trend
+// classification, FCT aggregation, tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "stats/fct.hpp"
-#include "stats/histogram.hpp"
 #include "stats/percentile.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -136,36 +135,6 @@ TEST(P2Quantile, ExactForFewerThanFiveSamples) {
 TEST(P2Quantile, RejectsDegenerateQuantile) {
   EXPECT_THROW(P2Quantile(0.0), ConfigError);
   EXPECT_THROW(P2Quantile(1.0), ConfigError);
-}
-
-// -------------------------------------------------------------- histogram
-
-TEST(LogHistogram, CountsAndQuantiles) {
-  LogHistogram h(1e-6, 1e2, 10);
-  Rng rng(4);
-  for (int i = 0; i < 50'000; ++i) {
-    h.add(rng.exponential(1.0));
-  }
-  EXPECT_EQ(h.total(), 50'000);
-  EXPECT_NEAR(h.quantile(0.5), std::log(2.0), 0.15);
-}
-
-TEST(LogHistogram, UnderAndOverflowTracked) {
-  LogHistogram h(1.0, 10.0, 5);
-  h.add(0.5);
-  h.add(100.0);
-  h.add(5.0);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.total(), 3);
-}
-
-TEST(LogHistogram, RenderShowsNonEmptyBuckets) {
-  LogHistogram h(1.0, 1000.0, 2);
-  h.add(5.0);
-  h.add(5.5);
-  const std::string out = h.render();
-  EXPECT_NE(out.find('*'), std::string::npos);
 }
 
 // ------------------------------------------------------------- timeseries
