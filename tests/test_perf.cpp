@@ -118,6 +118,80 @@ TEST(BenchRecord, RoundTripsThroughDisk) {
   EXPECT_EQ(back.cases[0].params[0].second, "144");
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// The record writer's bytes for a fixed record: key order, 2-space
+// indentation, the ": " separator, integer vs %.17g numbers, the empty
+// params object and the trailing newline.
+TEST(BenchRecord, WriterBytesArePinned) {
+  perf::BenchRecord r;
+  r.name = "pinned";
+  r.commit = "0123abcd";
+  r.host = "host-a";
+  r.cpu = "Test CPU @ 2.00GHz";
+  r.hw_threads = 4;
+  r.generated_unix = 1700000000;
+  r.warmup = 10;
+  r.reps = 3;
+  perf::BenchCase a;
+  a.label = "decide/srpt/ports=32";
+  a.param("scheduler", "srpt");
+  a.param("ports", "32");
+  a.metric("decisions_per_sec", 1250000.0);
+  a.metric("ns_p99", 0.1);
+  r.cases.push_back(a);
+  perf::BenchCase b;
+  b.label = "empty-params";
+  b.metric("allocs_per_decision", 0.0);
+  b.metric("events", 1e18);
+  r.cases.push_back(b);
+
+  const std::string path = "test_perf_pinned_record.json";
+  perf::write_record_file(path, r);
+  const std::string got = read_file(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(got, R"({
+  "schema": "basrpt-bench-v1",
+  "name": "pinned",
+  "commit": "0123abcd",
+  "host": {
+    "hostname": "host-a",
+    "cpu": "Test CPU @ 2.00GHz",
+    "hw_threads": 4
+  },
+  "generated_unix": 1700000000,
+  "warmup": 10,
+  "reps": 3,
+  "cases": [
+    {
+      "label": "decide/srpt/ports=32",
+      "params": {
+        "scheduler": "srpt",
+        "ports": "32"
+      },
+      "metrics": {
+        "decisions_per_sec": 1250000,
+        "ns_p99": 0.10000000000000001
+      }
+    },
+    {
+      "label": "empty-params",
+      "params": {},
+      "metrics": {
+        "allocs_per_decision": 0,
+        "events": 1e+18
+      }
+    }
+  ]
+}
+)");
+}
+
 TEST(BenchRecord, RejectsWrongSchemaAndDuplicateLabels) {
   perf::json::Value doc =
       perf::json::parse(perf::record_to_json(sample_record()).serialize(),
@@ -269,6 +343,40 @@ TEST(Profiler, SpanRecordingCapsAndExports) {
   tracer.write_chrome_json(out);
   EXPECT_NE(out.str().find("\"cat\":\"phase\""), std::string::npos);
   EXPECT_NE(out.str().find("\"name\":\"perf\""), std::string::npos);
+}
+
+// The profile writer's bytes for the deterministic state left by
+// reset() plus unattributed allocations: the frame, the empty phases
+// object and alloc_unattributed.
+TEST(Profiler, JsonBytesArePinned) {
+  perf::Profiler& profiler = perf::Profiler::global();
+  const bool was_counting = perf::alloc_counting();
+  perf::set_alloc_counting(false);
+  profiler.reset();
+  perf::set_alloc_counting(true);
+  perf::note_alloc(64);
+  perf::note_alloc(32);
+  perf::set_alloc_counting(false);
+
+  const std::string path = "test_perf_pinned_profile.json";
+  profiler.write_json_file(path);
+  const std::string got = read_file(path);
+  std::filesystem::remove(path);
+  profiler.reset();
+  perf::set_alloc_counting(was_counting);
+  EXPECT_EQ(got, R"({
+  "schema": "basrpt-profile-v1",
+  "window_ns": 0,
+  "coverage_frac": 0,
+  "phases": {},
+  "alloc_unattributed": {
+    "allocs": 2,
+    "alloc_bytes": 96
+  },
+  "spans_recorded": 0,
+  "spans_dropped": 0
+}
+)");
 }
 
 TEST(Profiler, ProfileJsonCarriesSchemaAndPhases) {
