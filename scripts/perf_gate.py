@@ -29,6 +29,7 @@ import json
 import os
 import socket
 import sys
+import tempfile
 import time
 
 
@@ -196,8 +197,9 @@ def run_gate(args):
 def self_test(only=None):
     """Checks the direction rules, then synthesizes a baseline and gates
     fresh records against it: regressions that must fail, within-tolerance
-    runs that must pass, and dropped or new cases. Each named check is
-    one gate rule; `only` runs just that one."""
+    runs that must pass, and dropped or new cases; last, that load_record
+    rejects malformed records. Each named check is one gate rule; `only`
+    runs just that one."""
     base = {
         "schema": "basrpt-bench-v1", "name": "selftest",
         "host": "h", "cpu": "c",
@@ -312,6 +314,39 @@ def self_test(only=None):
         if not r:
             failures.append("skip_ns dropped the alloc gate")
 
+    def load_record_rejects_malformed_records(failures):
+        # load_record is the one reader of basrpt-bench-v1: a well-formed
+        # record loads, and each malformed file raises ValueError (a
+        # truncated file's JSONDecodeError is one).
+        good = json.dumps(base, indent=2) + "\n"
+        dup = json.loads(good)
+        dup["cases"].append(dup["cases"][0])
+        no_cases = json.loads(good)
+        del no_cases["cases"]
+        bad = {
+            "wrong schema": json.dumps(dict(base, schema="basrpt-bench-v999")),
+            "duplicate labels": json.dumps(dup),
+            "missing cases": json.dumps(no_cases),
+            "non-object document": json.dumps([base]),
+            "truncated file": good[:len(good) // 2],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "record.json")
+
+            def load(text):
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(text)
+                return load_record(path)
+
+            if load(good)["cases"][0]["label"] != "decide/srpt/ports=144":
+                failures.append("well-formed record did not load")
+            for what, text in bad.items():
+                try:
+                    load(text)
+                except ValueError:
+                    continue
+                failures.append("%s was accepted" % what)
+
     checks = {
         "MetricDirectionInference": metric_direction_inference,
         "InjectedTwentyPercentRegressionFails":
@@ -324,6 +359,8 @@ def self_test(only=None):
             missing_case_fails_and_new_case_is_noted,
         "SkipNsMetricsKeepsThroughputAndAllocGates":
             skip_ns_metrics_keeps_throughput_and_alloc_gates,
+        "LoadRecordRejectsMalformedRecords":
+            load_record_rejects_malformed_records,
     }
     if only is not None and only not in checks:
         print("self-test: unknown check %r (have: %s)"

@@ -1,5 +1,6 @@
 #include "common/json_escape.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 namespace basrpt {
@@ -35,6 +36,19 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) {
+    return "null";
+  }
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
 }
 
 }  // namespace basrpt

@@ -9,12 +9,10 @@
 // The instrumentation contract is *passivity*: recording a metric may
 // never touch the RNG, the event calendar, or a scheduling decision, so
 // runs with and without observability produce bit-identical results. The
-// global enable flag keeps the off path to a single predictable branch
-// (ScopedTimer does not even read the clock when disabled).
+// global enable flag keeps the off path to a single predictable branch.
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -218,33 +216,6 @@ class ScopedRegistryBind {
 
  private:
   Registry* previous_;
-};
-
-/// Records the wall-clock lifetime of a scope into a LatencyHistogram,
-/// in nanoseconds. Arms only when obs::enabled(); the off path never
-/// reads the clock.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram& hist)
-      : hist_(enabled() ? &hist : nullptr) {
-    if (hist_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    if (hist_ != nullptr) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-      hist_->add(static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  LatencyHistogram* hist_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace basrpt::obs

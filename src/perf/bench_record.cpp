@@ -2,15 +2,14 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <ctime>
 #include <cstdlib>
 #include <fstream>
-#include <set>
-#include <sstream>
+#include <ostream>
 #include <thread>
 
 #include "common/assert.hpp"
+#include "common/json_escape.hpp"
 
 namespace basrpt::perf {
 
@@ -68,41 +67,59 @@ std::string detect_cpu() {
   return "unknown";
 }
 
-double number_at(const json::Value& obj, const std::string& key,
-                 const std::string& context) {
-  const json::Value& v = obj.at(key);
-  BASRPT_REQUIRE(v.is_number(),
-                 context + ": member '" + key + "' must be a number");
-  return v.as_number();
+/// Writes a case's params or metrics object, one member per line, or
+/// `{}` when it is empty.
+template <typename Value, typename WriteValue>
+void write_case_members(
+    std::ostream& out,
+    const std::vector<std::pair<std::string, Value>>& members,
+    WriteValue write_value) {
+  if (members.empty()) {
+    out << "{}";
+    return;
+  }
+  const char* sep = "{\n";
+  for (const auto& [key, value] : members) {
+    out << sep << "        \"" << json_escape(key) << "\": ";
+    write_value(value);
+    sep = ",\n";
+  }
+  out << "\n      }";
 }
 
-std::string string_at(const json::Value& obj, const std::string& key,
-                      const std::string& context) {
-  const json::Value& v = obj.at(key);
-  BASRPT_REQUIRE(v.is_string(),
-                 context + ": member '" + key + "' must be a string");
-  return v.as_string();
+void write_record(std::ostream& out, const BenchRecord& r) {
+  const auto num = [](auto v) { return json_number(static_cast<double>(v)); };
+  out << "{\n  \"schema\": \"" << kBenchSchema
+      << "\",\n  \"name\": \"" << json_escape(r.name)
+      << "\",\n  \"commit\": \"" << json_escape(r.commit)
+      << "\",\n  \"host\": {\n    \"hostname\": \"" << json_escape(r.host)
+      << "\",\n    \"cpu\": \"" << json_escape(r.cpu)
+      << "\",\n    \"hw_threads\": " << num(r.hw_threads)
+      << "\n  },\n  \"generated_unix\": " << num(r.generated_unix)
+      << ",\n  \"warmup\": " << num(r.warmup)
+      << ",\n  \"reps\": " << num(r.reps) << ",\n  \"cases\": ";
+  if (r.cases.empty()) {
+    out << "[]";
+  } else {
+    const char* sep = "[\n";
+    for (const BenchCase& c : r.cases) {
+      out << sep << "    {\n      \"label\": \"" << json_escape(c.label)
+          << "\",\n      \"params\": ";
+      write_case_members(out, c.params, [&](const std::string& v) {
+        out << '"' << json_escape(v) << '"';
+      });
+      out << ",\n      \"metrics\": ";
+      write_case_members(out, c.metrics,
+                         [&](double v) { out << json_number(v); });
+      out << "\n    }";
+      sep = ",\n";
+    }
+    out << "\n  ]";
+  }
+  out << "\n}\n";
 }
 
 }  // namespace
-
-const double* BenchCase::find_metric(const std::string& key) const {
-  for (const auto& [name, value] : metrics) {
-    if (name == key) {
-      return &value;
-    }
-  }
-  return nullptr;
-}
-
-const BenchCase* BenchRecord::find_case(const std::string& label) const {
-  for (const BenchCase& c : cases) {
-    if (c.label == label) {
-      return &c;
-    }
-  }
-  return nullptr;
-}
 
 BenchRecord make_record(const std::string& name, int warmup, int reps) {
   BenchRecord record;
@@ -118,107 +135,12 @@ BenchRecord make_record(const std::string& name, int warmup, int reps) {
   return record;
 }
 
-json::Value record_to_json(const BenchRecord& record) {
-  json::Value doc = json::Value::object();
-  doc.set("schema", json::Value::string(record.schema));
-  doc.set("name", json::Value::string(record.name));
-  doc.set("commit", json::Value::string(record.commit));
-  json::Value host = json::Value::object();
-  host.set("hostname", json::Value::string(record.host));
-  host.set("cpu", json::Value::string(record.cpu));
-  host.set("hw_threads",
-           json::Value::number(static_cast<double>(record.hw_threads)));
-  doc.set("host", std::move(host));
-  doc.set("generated_unix",
-          json::Value::number(static_cast<double>(record.generated_unix)));
-  doc.set("warmup", json::Value::number(static_cast<double>(record.warmup)));
-  doc.set("reps", json::Value::number(static_cast<double>(record.reps)));
-  json::Value cases = json::Value::array();
-  for (const BenchCase& c : record.cases) {
-    json::Value entry = json::Value::object();
-    entry.set("label", json::Value::string(c.label));
-    json::Value params = json::Value::object();
-    for (const auto& [key, value] : c.params) {
-      params.set(key, json::Value::string(value));
-    }
-    entry.set("params", std::move(params));
-    json::Value metrics = json::Value::object();
-    for (const auto& [key, value] : c.metrics) {
-      metrics.set(key, json::Value::number(value));
-    }
-    entry.set("metrics", std::move(metrics));
-    cases.push(std::move(entry));
-  }
-  doc.set("cases", std::move(cases));
-  return doc;
-}
-
-BenchRecord record_from_json(const json::Value& doc,
-                             const std::string& context) {
-  BASRPT_REQUIRE(doc.is_object(), context + ": record must be a JSON object");
-  const std::string schema = string_at(doc, "schema", context);
-  BASRPT_REQUIRE(schema == kBenchSchema,
-                 context + ": unsupported schema '" + schema + "' (want " +
-                     kBenchSchema + ")");
-  BenchRecord record;
-  record.schema = schema;
-  record.name = string_at(doc, "name", context);
-  record.commit = string_at(doc, "commit", context);
-  const json::Value& host = doc.at("host");
-  BASRPT_REQUIRE(host.is_object(), context + ": 'host' must be an object");
-  record.host = string_at(host, "hostname", context);
-  record.cpu = string_at(host, "cpu", context);
-  record.hw_threads =
-      static_cast<int>(number_at(host, "hw_threads", context));
-  record.generated_unix =
-      static_cast<std::int64_t>(number_at(doc, "generated_unix", context));
-  record.warmup = static_cast<int>(number_at(doc, "warmup", context));
-  record.reps = static_cast<int>(number_at(doc, "reps", context));
-  const json::Value& cases = doc.at("cases");
-  BASRPT_REQUIRE(cases.is_array(), context + ": 'cases' must be an array");
-  std::set<std::string> labels;
-  for (const json::Value& entry : cases.items()) {
-    BASRPT_REQUIRE(entry.is_object(),
-                   context + ": each case must be an object");
-    BenchCase c;
-    c.label = string_at(entry, "label", context);
-    BASRPT_REQUIRE(labels.insert(c.label).second,
-                   context + ": duplicate case label '" + c.label + "'");
-    const json::Value& params = entry.at("params");
-    BASRPT_REQUIRE(params.is_object(),
-                   context + ": case 'params' must be an object");
-    for (const auto& [key, value] : params.members()) {
-      BASRPT_REQUIRE(value.is_string(),
-                     context + ": param '" + key + "' must be a string");
-      c.params.emplace_back(key, value.as_string());
-    }
-    const json::Value& metrics = entry.at("metrics");
-    BASRPT_REQUIRE(metrics.is_object(),
-                   context + ": case 'metrics' must be an object");
-    for (const auto& [key, value] : metrics.members()) {
-      BASRPT_REQUIRE(value.is_number(),
-                     context + ": metric '" + key + "' must be a number");
-      c.metrics.emplace_back(key, value.as_number());
-    }
-    record.cases.push_back(std::move(c));
-  }
-  return record;
-}
-
 void write_record_file(const std::string& path, const BenchRecord& record) {
   std::ofstream out(path);
   BASRPT_REQUIRE(out.good(), "cannot open bench record file: " + path);
-  out << record_to_json(record).serialize(2);
+  write_record(out, record);
   out.flush();
   BASRPT_REQUIRE(out.good(), "failed writing bench record file: " + path);
-}
-
-BenchRecord read_record_file(const std::string& path) {
-  std::ifstream in(path);
-  BASRPT_REQUIRE(in.good(), "cannot open bench record file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return record_from_json(json::parse(buf.str(), path), path);
 }
 
 }  // namespace basrpt::perf

@@ -5,9 +5,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <ostream>
 
 #include "common/assert.hpp"
-#include "perf/json.hpp"
+#include "common/json_escape.hpp"
 
 namespace basrpt::perf {
 
@@ -206,51 +207,45 @@ void Profiler::export_spans(obs::FlowTracer& tracer) const {
   }
 }
 
-std::string Profiler::to_json() const {
-  json::Value doc = json::Value::object();
-  doc.set("schema", json::Value::string("basrpt-profile-v1"));
-  doc.set("window_ns", json::Value::number(static_cast<double>(window_ns_)));
-  doc.set("coverage_frac", json::Value::number(coverage()));
-  json::Value phases = json::Value::object();
+void Profiler::write_json(std::ostream& out) const {
+  const auto num = [](auto v) { return json_number(static_cast<double>(v)); };
+  out << "{\n  \"schema\": \"basrpt-profile-v1\",\n  \"window_ns\": "
+      << num(window_ns_) << ",\n  \"coverage_frac\": " << num(coverage())
+      << ",\n  \"phases\": ";
+  bool any_phase = false;
   for (std::size_t k = 0; k < kPhaseCount; ++k) {
     const auto phase = static_cast<Phase>(k);
     const PhaseStats s = stats(phase);
     if (s.calls == 0 && s.allocs == 0) {
       continue;
     }
-    json::Value p = json::Value::object();
-    p.set("calls", json::Value::number(static_cast<double>(s.calls)));
-    p.set("total_ns", json::Value::number(static_cast<double>(s.total_ns)));
-    p.set("self_ns", json::Value::number(static_cast<double>(s.self_ns)));
+    out << (any_phase ? ",\n" : "{\n") << "    \"" << phase_name(phase)
+        << "\": {\n      \"calls\": " << num(s.calls)
+        << ",\n      \"total_ns\": " << num(s.total_ns)
+        << ",\n      \"self_ns\": " << num(s.self_ns);
     const obs::LatencyHistogram& h = hist_[k];
     if (h.count() > 0) {
-      p.set("ns_p50", json::Value::number(h.quantile(0.5)));
-      p.set("ns_p99", json::Value::number(h.quantile(0.99)));
-      p.set("ns_p999", json::Value::number(h.quantile(0.999)));
+      out << ",\n      \"ns_p50\": " << num(h.quantile(0.5))
+          << ",\n      \"ns_p99\": " << num(h.quantile(0.99))
+          << ",\n      \"ns_p999\": " << num(h.quantile(0.999));
     }
-    p.set("allocs", json::Value::number(static_cast<double>(s.allocs)));
-    p.set("alloc_bytes",
-          json::Value::number(static_cast<double>(s.alloc_bytes)));
-    phases.set(phase_name(phase), std::move(p));
+    out << ",\n      \"allocs\": " << num(s.allocs)
+        << ",\n      \"alloc_bytes\": " << num(s.alloc_bytes) << "\n    }";
+    any_phase = true;
   }
-  doc.set("phases", std::move(phases));
+  out << (any_phase ? "\n  }" : "{}");
   const PhaseStats other = unattributed();
-  json::Value unattr = json::Value::object();
-  unattr.set("allocs", json::Value::number(static_cast<double>(other.allocs)));
-  unattr.set("alloc_bytes",
-             json::Value::number(static_cast<double>(other.alloc_bytes)));
-  doc.set("alloc_unattributed", std::move(unattr));
-  doc.set("spans_recorded",
-          json::Value::number(static_cast<double>(spans_.size())));
-  doc.set("spans_dropped",
-          json::Value::number(static_cast<double>(spans_dropped_)));
-  return doc.serialize(2);
+  out << ",\n  \"alloc_unattributed\": {\n    \"allocs\": "
+      << num(other.allocs) << ",\n    \"alloc_bytes\": "
+      << num(other.alloc_bytes) << "\n  },\n  \"spans_recorded\": "
+      << num(spans_.size()) << ",\n  \"spans_dropped\": "
+      << num(spans_dropped_) << "\n}\n";
 }
 
 void Profiler::write_json_file(const std::string& path) const {
   std::ofstream out(path);
   BASRPT_REQUIRE(out.good(), "cannot open profile output file: " + path);
-  out << to_json();
+  write_json(out);
 }
 
 // ----------------------------------------------------------- ScopedPhase

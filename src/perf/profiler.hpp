@@ -7,10 +7,9 @@
 // and the allocator went*. Everything here is pay-for-use twice over:
 //
 //  * Phase scopes cost one relaxed atomic load when profiling is off —
-//    no clock read, no TLS write (the same discipline as
-//    obs::ScopedTimer). A scope given a histogram sink reads the clock
-//    once at each end either way, so one clock pair serves a metric and
-//    the profile.
+//    no clock read, no TLS write. A scope given a histogram sink reads
+//    the clock once at each end either way, so one clock pair serves a
+//    metric and the profile.
 //  * The operator new/delete interposer lives in this translation unit,
 //    so a binary that never references the profiler never links it and
 //    keeps the toolchain allocator untouched. Binaries that do link it
@@ -122,8 +121,9 @@ class Profiler {
   /// FlowTracer stream" half of the export story.
   void export_spans(obs::FlowTracer& tracer) const;
 
-  /// basrpt-profile-v1 JSON breakdown (the other half).
-  std::string to_json() const;
+  /// basrpt-profile-v1 JSON breakdown (the other half), pretty-printed
+  /// with two spaces per level and a trailing newline.
+  void write_json(std::ostream& out) const;
   void write_json_file(const std::string& path) const;
 
  private:

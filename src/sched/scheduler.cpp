@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -60,20 +61,27 @@ std::vector<VoqCandidate> build_candidates(const queueing::VoqMatrix& voqs,
 
 bool decision_is_matching(const Decision& decision,
                           const queueing::VoqMatrix& voqs) {
-  std::unordered_set<PortId> ingress_used;
-  std::unordered_set<PortId> egress_used;
-  std::unordered_set<FlowId> seen;
+  // One mark per ingress and per egress port. A repeated flow id repeats
+  // its ingress port, so duplicates need no check of their own. The
+  // arrays are thread-local so the simulators' per-decision assertion
+  // allocates nothing once they have grown to the port count.
+  thread_local std::vector<std::uint8_t> ingress_used;
+  thread_local std::vector<std::uint8_t> egress_used;
+  const auto ports = static_cast<std::size_t>(voqs.ports());
+  ingress_used.assign(ports, 0);
+  egress_used.assign(ports, 0);
   for (const FlowId id : decision.selected) {
-    if (!voqs.contains(id) || !seen.insert(id).second) {
+    if (!voqs.contains(id)) {
       return false;
     }
     const queueing::Flow& f = voqs.flow(id);
-    if (!ingress_used.insert(f.src).second) {
+    std::uint8_t& in = ingress_used[static_cast<std::size_t>(f.src)];
+    std::uint8_t& out = egress_used[static_cast<std::size_t>(f.dst)];
+    if (in != 0 || out != 0) {
       return false;
     }
-    if (!egress_used.insert(f.dst).second) {
-      return false;
-    }
+    in = 1;
+    out = 1;
   }
   return true;
 }

@@ -5,6 +5,9 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "flowsim/flow_sim.hpp"
+#include "flowsim/online.hpp"
+#include "obs/metrics.hpp"
+#include "perf/profiler.hpp"
 #include "sched/fast_basrpt.hpp"
 #include "sched/srpt.hpp"
 #include "workload/generators.hpp"
@@ -229,6 +232,31 @@ TEST(FlowSimResult, ZeroHorizonThroughputIsZeroNotNan) {
   FlowSimResult result(0, 1);
   result.delivered = Bytes{1000};
   EXPECT_DOUBLE_EQ(result.throughput().bits_per_sec, 0.0);
+}
+
+TEST(OnlineFlowSim, AdvanceToAllocatesNothingWithObsOff) {
+  // basrptd calls advance_to once per feed record; with obs off a step
+  // that runs no event must not touch the allocator.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(false);
+  sched::SrptScheduler srpt;
+  OnlineFlowSim sim(tiny_config(), srpt);
+  sim.offer(make_arrival(0.0, 0, 1, 125_MB));
+  sim.advance_to(SimTime{0.001});
+  ASSERT_EQ(sim.active_flows(), 1u);
+
+  constexpr int kCalls = 100;
+  const bool was_counting = perf::alloc_counting();
+  perf::set_alloc_counting(true);
+  const std::uint64_t before = perf::alloc_total();
+  for (int k = 1; k <= kCalls; ++k) {
+    sim.advance_to(SimTime{0.001 + 1e-5 * k});
+  }
+  const std::uint64_t allocs = perf::alloc_total() - before;
+  perf::set_alloc_counting(was_counting);
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(sim.active_flows(), 1u);
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace

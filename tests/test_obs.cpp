@@ -1,6 +1,6 @@
-// Unit tests for src/obs: metrics registry, log-scale histogram,
-// ScopedTimer arming, flow tracer + Chrome JSON well-formedness,
-// heartbeat pacing, and the metrics exporters.
+// Unit tests for src/obs: metrics registry, log-scale histogram, flow
+// tracer + Chrome JSON well-formedness, heartbeat pacing, and the
+// metrics exporters.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -252,18 +252,6 @@ TEST(Registry, ReturnsStableReferencesAndResets) {
   EXPECT_FALSE(registry.empty());
   registry.reset();
   EXPECT_TRUE(registry.empty());
-}
-
-TEST(ScopedTimer, ArmsOnlyWhenEnabled) {
-  const bool was_enabled = obs::enabled();
-  obs::LatencyHistogram h;
-  obs::set_enabled(false);
-  { obs::ScopedTimer t(h); }
-  EXPECT_EQ(h.count(), 0u);
-  obs::set_enabled(true);
-  { obs::ScopedTimer t(h); }
-  EXPECT_EQ(h.count(), 1u);
-  obs::set_enabled(was_enabled);
 }
 
 TEST(FlowTracer, FirstServiceDeduplicated) {

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hungarian.hpp"
+#include "perf/profiler.hpp"
 #include "queueing/voq.hpp"
 #include "sched/bvn_scheduler.hpp"
 #include "sched/exact_basrpt.hpp"
@@ -641,6 +642,32 @@ TEST(DecisionIsMatching, RejectsPortReuseAndUnknownFlows) {
   EXPECT_FALSE(decision_is_matching({{99}}, voqs));    // unknown flow
   EXPECT_FALSE(decision_is_matching({{1, 1}}, voqs));  // duplicate
   EXPECT_TRUE(decision_is_matching({{2, 3}}, voqs));
+}
+
+TEST(DecisionIsMatching, WarmCheckAllocatesAtMostOncePerCall) {
+  // switchsim asserts the check on every slot, so it must stay cheap: a
+  // full 32-port permutation, checked after one warm-up call.
+  constexpr PortId kPorts = 32;
+  VoqMatrix voqs(kPorts);
+  Decision decision;
+  for (PortId i = 0; i < kPorts; ++i) {
+    const FlowId id = static_cast<FlowId>(i + 1);
+    voqs.add_flow(make_flow(id, i, (i + 5) % kPorts, 3));
+    decision.selected.push_back(id);
+  }
+  ASSERT_TRUE(decision_is_matching(decision, voqs));
+  constexpr int kCalls = 100;
+  const bool was_counting = perf::alloc_counting();
+  perf::set_alloc_counting(true);
+  const std::uint64_t before = perf::alloc_total();
+  bool all_matching = true;
+  for (int k = 0; k < kCalls; ++k) {
+    all_matching = decision_is_matching(decision, voqs) && all_matching;
+  }
+  const std::uint64_t allocs = perf::alloc_total() - before;
+  perf::set_alloc_counting(was_counting);
+  EXPECT_TRUE(all_matching);
+  EXPECT_LE(allocs, static_cast<std::uint64_t>(kCalls));
 }
 
 }  // namespace
