@@ -4,7 +4,8 @@
 Compares a fresh BENCH_<name>.json against the committed baseline with
 per-metric-class tolerances and exits non-zero on regression. This is
 the repo's one perf gate: `--self-test` pins its rules, one named check
-per rule, each run as a `Gate.<check>` ctest. docs/PERF.md pins the
+per rule, each run as a `Gate.<check>` ctest (the two `load_record`
+checks run as `BenchRecord.<check>`). docs/PERF.md pins the
 metric naming convention the direction is inferred from:
 
     *_per_sec                    higher is better   (throughput tol)
@@ -198,8 +199,8 @@ def self_test(only=None):
     """Checks the direction rules, then synthesizes a baseline and gates
     fresh records against it: regressions that must fail, within-tolerance
     runs that must pass, and dropped or new cases; last, that load_record
-    rejects malformed records. Each named check is one gate rule; `only`
-    runs just that one."""
+    rejects records that break the schema and files that do not parse.
+    Each named check is one gate rule; `only` runs just that one."""
     base = {
         "schema": "basrpt-bench-v1", "name": "selftest",
         "host": "h", "cpu": "c",
@@ -314,38 +315,58 @@ def self_test(only=None):
         if not r:
             failures.append("skip_ns dropped the alloc gate")
 
-    def load_record_rejects_malformed_records(failures):
+    good = json.dumps(base, indent=2) + "\n"
+
+    def load_text(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "record.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            return load_record(path)
+
+    def expect_raise(failures, what, load, error):
+        try:
+            load()
+        except error:
+            return
+        except Exception as e:  # noqa: BLE001 - report the wrong kind
+            failures.append("%s raised %s, want %s"
+                            % (what, type(e).__name__, error.__name__))
+            return
+        failures.append("%s was accepted" % what)
+
+    def rejects_wrong_schema_and_duplicate_labels(failures):
         # load_record is the one reader of basrpt-bench-v1: a well-formed
-        # record loads, and each malformed file raises ValueError (a
-        # truncated file's JSONDecodeError is one).
-        good = json.dumps(base, indent=2) + "\n"
+        # record loads, and a record that parses but breaks the schema
+        # (wrong tag, duplicate case labels, no cases) raises ValueError.
+        if load_text(good)["cases"][0]["label"] != "decide/srpt/ports=144":
+            failures.append("well-formed record did not load")
         dup = json.loads(good)
         dup["cases"].append(dup["cases"][0])
         no_cases = json.loads(good)
         del no_cases["cases"]
-        bad = {
-            "wrong schema": json.dumps(dict(base, schema="basrpt-bench-v999")),
-            "duplicate labels": json.dumps(dup),
-            "missing cases": json.dumps(no_cases),
-            "non-object document": json.dumps([base]),
-            "truncated file": good[:len(good) // 2],
-        }
+        for what, doc in (
+                ("wrong schema", dict(base, schema="basrpt-bench-v999")),
+                ("duplicate labels", dup),
+                ("missing cases", no_cases)):
+            expect_raise(failures, what,
+                         lambda: load_text(json.dumps(doc)), ValueError)
+
+    def corrupt_and_truncated_files_throw_parse_error(failures):
+        # A file that is not a JSON document raises the parser's error, a
+        # JSON document that is not an object raises ValueError, and a
+        # missing file raises OSError.
+        for what, text in (("truncated file", good[:len(good) // 2]),
+                           ("trailing comma",
+                            '{"schema": "basrpt-bench-v1", }')):
+            expect_raise(failures, what, lambda: load_text(text),
+                         json.JSONDecodeError)
+        expect_raise(failures, "non-object document",
+                     lambda: load_text(json.dumps([base])), ValueError)
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "record.json")
-
-            def load(text):
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(text)
-                return load_record(path)
-
-            if load(good)["cases"][0]["label"] != "decide/srpt/ports=144":
-                failures.append("well-formed record did not load")
-            for what, text in bad.items():
-                try:
-                    load(text)
-                except ValueError:
-                    continue
-                failures.append("%s was accepted" % what)
+            missing = os.path.join(tmp, "absent.json")
+            expect_raise(failures, "missing file",
+                         lambda: load_record(missing), OSError)
 
     checks = {
         "MetricDirectionInference": metric_direction_inference,
@@ -359,8 +380,10 @@ def self_test(only=None):
             missing_case_fails_and_new_case_is_noted,
         "SkipNsMetricsKeepsThroughputAndAllocGates":
             skip_ns_metrics_keeps_throughput_and_alloc_gates,
-        "LoadRecordRejectsMalformedRecords":
-            load_record_rejects_malformed_records,
+        "RejectsWrongSchemaAndDuplicateLabels":
+            rejects_wrong_schema_and_duplicate_labels,
+        "CorruptAndTruncatedFilesThrowParseError":
+            corrupt_and_truncated_files_throw_parse_error,
     }
     if only is not None and only not in checks:
         print("self-test: unknown check %r (have: %s)"
