@@ -30,6 +30,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CASES = {
     "fig1_example": ["bench_fig1_example"],
     "theorem1_slotted": ["bench_theorem1_slotted", "--slots", "3000"],
+    # Seed 7 over 3000 slots holds a drop-decisions window (refreshes
+    # with no decide) and two port blackouts (masked repacks).
+    "theorem1_slotted_faults": ["bench_theorem1_slotted", "--slots", "3000",
+                                "--fault-plan=random", "--fault-seed", "7"],
     "fig5_stability": ["bench_fig5_stability", "--horizon", "0.3"],
     "fig2_motivation": ["bench_fig2_motivation", "--horizon", "0.3"],
     "fig6_loads": ["bench_fig6_loads", "--horizon", "0.3"],
