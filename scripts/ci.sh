@@ -66,6 +66,11 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   ./build-asan/bench/bench_fault_resilience --horizon 0.5 --watchdog 120
   ./build-asan/bench/bench_fig5_stability \
       --horizon 0.4 --fault-plan=random --fault-seed 7 --watchdog 120
+  # Slotted: the random plan's drop-decisions window leaves refreshes
+  # without a decide (a gap in the candidate cache's sequence, so the
+  # greedy matcher re-sorts) and its blackouts force masked repacks.
+  ./build-asan/bench/bench_theorem1_slotted \
+      --slots 20000 --fault-plan=random --fault-seed 7 --watchdog 120
 
   # Certified-rate differential over whole figure runs: --paranoid
   # re-solves every single-round-certified serving set with route_into +

@@ -5,20 +5,29 @@
 // probes and flow-table lookups each time, even though an arrival or a
 // drain touches exactly one VOQ. This cache keeps one VoqCandidate per
 // VOQ in a persistently allocated dense array, recomputes only the VOQs
-// the matrix reports dirty (VoqMatrix::dirty_voqs), then transposes the
-// non-empty entries into contiguous SoA lanes (sched::CandidateView) in
-// the matrix's non-empty order — the same order build_candidates
-// produces, so order-sensitive schedulers (exact BASRPT's enumeration
-// ties, BvN's selection order) behave identically. The transpose is one
-// plain per-field copy loop over the packed entries.
+// the matrix reports dirty (VoqMatrix::dirty_voqs), and keeps contiguous
+// SoA lanes (sched::CandidateView) in the matrix's non-empty order — the
+// same order build_candidates produces, so order-sensitive schedulers
+// (exact BASRPT's enumeration ties, BvN's selection order) behave
+// identically.
 //
-// Steady-state cost per refresh: O(#dirty VOQs) candidate recomputes
-// plus O(#non-empty VOQs) lane copies, with zero heap allocation once
-// the lanes have warmed to the fabric's footprint.
+// The non-empty order changes only by append and by swap-remove, and
+// every VOQ appended or removed is dirty. So a lane position can change
+// only if a dirty VOQ occupied it before the refresh or occupies it
+// after: the refresh rewrites exactly those positions, and the view
+// lists them (matching::LaneChanges) so the greedy matcher can merge
+// instead of re-sorting. While any port is masked, or on the first
+// refresh, the lanes are repacked in full and the view says the changes
+// are unknown.
+//
+// Steady-state cost per refresh: O(#dirty VOQs) candidate recomputes and
+// lane copies, with zero heap allocation once the lanes have warmed to
+// the fabric's footprint.
 //
 // The cache consumes the matrix's dirty list (clear_dirty), so attach
 // at most one cache — or any single dirty-consuming observer — per
-// VoqMatrix.
+// VoqMatrix, and attach it while the matrix is empty or every non-empty
+// VOQ is still dirty.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +51,10 @@ class CandidateCache {
 
   /// Brings the cache up to date with the matrix and returns the packed
   /// candidate view (one entry per non-empty VOQ whose ports are usable,
-  /// matrix order). The view stays valid until the next refresh().
+  /// matrix order). The view stays valid until the next refresh(). Its
+  /// changes() carry this cache's source id and a sequence that bumps on
+  /// every refresh that changed anything; a refresh that changed nothing
+  /// returns the same view, stamp included.
   const sched::CandidateView& refresh();
 
   /// Marks a port usable/unusable (fault blackout): candidates whose
@@ -83,9 +95,25 @@ class CandidateCache {
   std::uint64_t seen_mask_epoch_ = 0;
 
   std::vector<sched::VoqCandidate> entries_;  // dense, by flat VOQ index
-  std::vector<std::uint32_t> packed_idx_;     // flat indexes, packed order
+  std::vector<std::uint32_t> packed_idx_;     // flat indexes, lane order
+  std::vector<std::uint32_t> lane_of_;        // flat index -> lane, or none
   sched::CandidateSoA soa_;                   // packed lanes
   sched::CandidateView view_;
+
+  // Change publication. lanes_mirror_ is true when the lanes hold every
+  // non-empty VOQ in matrix order (no port masked at the last repack),
+  // the precondition for an incremental refresh.
+  std::uint64_t source_;
+  std::uint64_t sequence_ = 0;
+  bool lanes_mirror_ = false;
+  std::vector<std::uint32_t> changed_;        // lane positions rewritten
+  std::vector<std::uint64_t> changed_stamp_;  // by position: == epoch
+  std::uint64_t changed_epoch_ = 0;
+
+  void recompute(std::size_t idx);
+  void write_lane(std::size_t pos, std::uint32_t idx);
+  void refresh_changed();
+  void repack_all();
 };
 
 }  // namespace basrpt::fabric

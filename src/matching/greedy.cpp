@@ -40,23 +40,26 @@ GreedyResult greedy_maximal(std::vector<ScoredCandidate> candidates,
 
 namespace {
 
-/// Maps a double to a 32-bit key whose integer order matches the
-/// double's numeric order coarsened to the top 32 bits: flip all bits
-/// of negatives, flip only the sign bit of non-negatives, keep the
-/// sign, exponent and top 20 mantissa bits. Distinct scores may
-/// collide (the fixup pass resolves those runs exactly); equal scores
-/// always map to equal keys — -0.0 is first collapsed onto +0.0 so the
-/// payload tie-break fires exactly where the comparison path's would.
-std::uint32_t coarse_score_key(double score) {
+/// Maps a double to a 64-bit key whose unsigned order is the double's
+/// numeric order: flip all bits of negatives, flip only the sign bit of
+/// non-negatives. -0.0 is first collapsed onto +0.0, so equal scores
+/// always map to equal keys and the payload tie-break fires exactly
+/// where the comparison path's would.
+std::uint64_t sortable_score(double score) {
   if (score == 0.0) {
     score = 0.0;  // normalizes -0.0
   }
   std::uint64_t bits;
   std::memcpy(&bits, &score, sizeof(bits));
-  const std::uint64_t full = (bits & 0x8000000000000000ull) != 0
-                                 ? ~bits
-                                 : bits | 0x8000000000000000ull;
-  return static_cast<std::uint32_t>(full >> 32);
+  return (bits & 0x8000000000000000ull) != 0 ? ~bits
+                                             : bits | 0x8000000000000000ull;
+}
+
+/// The sortable key coarsened to its top 32 bits: sign, exponent and
+/// top 20 mantissa bits. Distinct scores may collide (the radix sort's
+/// fixup pass resolves those runs exactly).
+std::uint32_t coarse_score_key(double score) {
+  return static_cast<std::uint32_t>(sortable_score(score) >> 32);
 }
 
 /// 8-bit LSD digits, four passes over the 32-bit key. 256 bins keep
@@ -159,65 +162,151 @@ void GreedyMatcher::sort_recs_radix(const double* score,
   }
 }
 
+void GreedyMatcher::sort_full(const double* score,
+                              const std::int64_t* payload, std::size_t n) {
+  order_.resize(n);
+  if (n < kRadixThreshold) {
+    recs_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      recs_[i] = Rec{score[i], static_cast<std::uint32_t>(i)};
+    }
+    std::sort(recs_.begin(), recs_.end(), [&](const Rec& a, const Rec& b) {
+      if (a.score != b.score) {
+        return a.score < b.score;
+      }
+      return payload[a.idx] < payload[b.idx];
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      order_[i] = recs_[i].idx;
+    }
+  } else {
+    sort_recs_radix(score, payload, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      order_[i] = rrecs_a_[i].idx;
+    }
+  }
+}
+
+void GreedyMatcher::merge_changes(const double* score,
+                                  const std::int64_t* payload, std::size_t n,
+                                  const LaneChanges& changes) {
+  // Exact (score, payload) keys as two unsigned words, so comparisons
+  // do not branch on score ties.
+  const auto key_of = [&](std::uint32_t p) {
+    return ExactKey{sortable_score(score[p]),
+                    static_cast<std::uint64_t>(payload[p]) ^
+                        0x8000000000000000ull,
+                    p};
+  };
+  // Keys of unchanged lanes carry over from the previous merge; after a
+  // full sort they are derived once from the current lanes.
+  keys_.resize(n);
+  if (!keys_valid_) {
+    for (std::uint32_t p = 0; p < n; ++p) {
+      keys_[p] = key_of(p);
+    }
+  }
+  const std::size_t old_n = order_.size();
+  if (changed_.size() < std::max(n, old_n)) {
+    changed_.resize(std::max(n, old_n), 0);
+  }
+  fresh_.clear();
+  for (std::size_t k = 0; k < changes.count; ++k) {
+    const std::uint32_t p = changes.positions[k];
+    BASRPT_ASSERT(p < n, "changed lane past the view's end");
+    BASRPT_ASSERT(changed_[p] == 0, "changed lane listed twice");
+    changed_[p] = 1;
+    keys_[p] = key_of(p);
+    fresh_.push_back(keys_[p]);
+  }
+  // Unchanged lanes keep their keys, so the kept order stays sorted
+  // once the changed and truncated lanes are dropped from it. The
+  // compaction writes every entry and advances only past kept ones.
+  kept_.resize(old_n);
+  std::uint32_t* kept = kept_.data();
+  std::size_t n_kept = 0;
+  for (const std::uint32_t idx : order_) {
+    kept[n_kept] = idx;
+    n_kept += static_cast<std::size_t>((idx < n) & (changed_[idx] == 0));
+  }
+  for (const ExactKey& f : fresh_) {
+    changed_[f.idx] = 0;
+  }
+  BASRPT_ASSERT(n_kept + fresh_.size() == n,
+                "lane changes do not cover the view");
+  std::sort(fresh_.begin(), fresh_.end());
+  order_.resize(n);
+  std::uint32_t* out = order_.data();
+  const ExactKey* key = keys_.data();
+  std::size_t i = 0;
+  for (const ExactKey& f : fresh_) {
+    while (i < n_kept && key[kept[i]] < f) {
+      *out++ = kept[i++];
+    }
+    *out++ = f.idx;
+  }
+  std::copy(kept + i, kept + n_kept, out);
+  ++merges_;
+}
+
 void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
                                      const PortId* right,
                                      const std::int64_t* payload,
                                      std::size_t n, PortId n_left,
                                      PortId n_right,
-                                     std::vector<std::int64_t>& out) {
+                                     std::vector<std::int64_t>& out,
+                                     const LaneChanges& changes) {
   BASRPT_ASSERT(n_left > 0 && n_right > 0, "port counts must be positive");
   out.clear();
   left_used_.assign(static_cast<std::size_t>(n_left), 0);
   right_used_.assign(static_cast<std::size_t>(n_right), 0);
   if (n == 0) {
+    order_source_ = 0;
     return;
   }
   BASRPT_ASSERT(ports_in_range(left, n, n_left), "ingress out of range");
   BASRPT_ASSERT(ports_in_range(right, n, n_right), "egress out of range");
+
+  {
+    perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
+    const bool same_source = changes.source != 0 &&
+                             changes.source == order_source_ &&
+                             n_left == order_n_left_ &&
+                             n_right == order_n_right_;
+    if (same_source && changes.sequence == order_sequence_) {
+      BASRPT_ASSERT(order_.size() == n, "same stamp, different lane count");
+    } else if (same_source && changes.known &&
+               changes.sequence == order_sequence_ + 1 &&
+               changes.count * kMergeChurnDivisor <= n) {
+      merge_changes(score, payload, n, changes);
+      keys_valid_ = true;
+    } else {
+      sort_full(score, payload, n);
+      keys_valid_ = false;
+    }
+    order_source_ = changes.source;
+    order_sequence_ = changes.sequence;
+    order_n_left_ = n_left;
+    order_n_right_ = n_right;
+  }
 
   // No candidate can be accepted once every left (or every right) port
   // is taken, so the scan stops at max_accept winners — identical
   // selection, and on dense candidate sets most of the tail is skipped.
   const std::size_t max_accept =
       static_cast<std::size_t>(n_left < n_right ? n_left : n_right);
-  const auto accept = [&](const auto& recs) {
-    std::size_t accepted = 0;
-    for (const auto& e : recs) {
-      const auto l = static_cast<std::size_t>(left[e.idx]);
-      const auto r = static_cast<std::size_t>(right[e.idx]);
-      if (!left_used_[l] && !right_used_[r]) {
-        left_used_[l] = 1;
-        right_used_[r] = 1;
-        out.push_back(payload[e.idx]);
-        if (++accepted == max_accept) {
-          return;
-        }
+  std::size_t accepted = 0;
+  for (const std::uint32_t idx : order_) {
+    const auto l = static_cast<std::size_t>(left[idx]);
+    const auto r = static_cast<std::size_t>(right[idx]);
+    if (!left_used_[l] && !right_used_[r]) {
+      left_used_[l] = 1;
+      right_used_[r] = 1;
+      out.push_back(payload[idx]);
+      if (++accepted == max_accept) {
+        return;
       }
     }
-  };
-
-  if (n < kRadixThreshold) {
-    {
-      perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
-      recs_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        recs_[i] = Rec{score[i], static_cast<std::uint32_t>(i)};
-      }
-      std::sort(recs_.begin(), recs_.end(),
-                [&](const Rec& a, const Rec& b) {
-                  if (a.score != b.score) {
-                    return a.score < b.score;
-                  }
-                  return payload[a.idx] < payload[b.idx];
-                });
-    }
-    accept(recs_);
-  } else {
-    {
-      perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
-      sort_recs_radix(score, payload, n);
-    }
-    accept(rrecs_a_);
   }
 }
 

@@ -49,7 +49,7 @@ enum class Phase : std::uint8_t {
   kCheckpointWrite = 6, // ckpt::CheckpointManager durable write
   kMeasuredOp = 7,      // perf::measure_op timed operation
   kScoreKernel = 8,     // fast-BASRPT/threshold key loop over candidate lanes
-  kMatchSort = 9,       // GreedyMatcher candidate ordering (sort/radix)
+  kMatchSort = 9,       // GreedyMatcher candidate ordering (merge/sort/radix)
   kCount
 };
 constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);

@@ -28,6 +28,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/units.hpp"
 #include "queueing/chunked_index.hpp"
 #include "queueing/flow.hpp"
@@ -123,6 +124,14 @@ class VoqMatrix {
   /// for_each_non_empty_voq visits them.
   const std::vector<std::size_t>& non_empty_indices() const {
     return non_empty_;
+  }
+
+  /// Position of non-empty VOQ `idx` within non_empty_indices(). The
+  /// list changes only by appending a VOQ that became non-empty and by
+  /// swap-remove: an emptied VOQ's place goes to the last entry.
+  std::size_t non_empty_position(std::size_t idx) const {
+    BASRPT_ASSERT(position_[idx] < non_empty_.size(), "VOQ is empty");
+    return position_[idx];
   }
 
   /// Bumped on every content mutation (add_flow / drain / remove).

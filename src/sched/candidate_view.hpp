@@ -12,12 +12,21 @@
 // Presence is a property of the view, not a side-channel flag: a
 // scheduler that asks for an absent lane gets a ConfigError, never
 // silent zeros.
+//
+// A view may also carry its source's lane changes (matching::
+// LaneChanges): fabric::CandidateCache stamps each view with which lane
+// positions its refresh rewrote, and the greedy schedulers hand that to
+// GreedyMatcher so it merges instead of re-sorting. A view built by
+// CandidateSoA::view() or from_aos carries none; a decorator that
+// rewrites lanes must pass such a view on, while one that forwards the
+// view untouched keeps the stamp.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "matching/greedy.hpp"
 #include "queueing/flow.hpp"
 
 namespace basrpt::sched {
@@ -69,6 +78,13 @@ class CandidateView {
   const double* shortest_remaining() const { return shortest_remaining_; }
   const double* shortest_arrival() const { return shortest_arrival_; }
 
+  /// Which lanes changed since the same source's previous view (see
+  /// matching::LaneChanges); unstamped unless the source set it.
+  const matching::LaneChanges& changes() const { return changes_; }
+  void set_changes(const matching::LaneChanges& changes) {
+    changes_ = changes;
+  }
+
   bool has_arrival_lane() const { return oldest_flow_ != nullptr; }
   /// Throw ConfigError when the arrival lanes were not built — the
   /// builder was configured for a scheduler that does not need them.
@@ -88,6 +104,7 @@ class CandidateView {
   const double* shortest_arrival_ = nullptr;
   const FlowId* oldest_flow_ = nullptr;      // null when lane absent
   const double* oldest_arrival_ = nullptr;   // null when lane absent
+  matching::LaneChanges changes_;
 };
 
 /// Owning lane storage. Lanes are public so builders (the cache's

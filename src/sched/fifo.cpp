@@ -16,7 +16,7 @@ void FifoScheduler::decide_into(PortId n_ports,
   matcher_.match_lanes_into(candidates.oldest_arrival(), candidates.ingress(),
                             candidates.egress(), candidates.oldest_flow(),
                             candidates.size(), n_ports, n_ports,
-                            out.selected);
+                            out.selected, candidates.changes());
 }
 
 }  // namespace basrpt::sched

@@ -10,7 +10,8 @@ void SrptScheduler::decide_into(PortId n_ports,
   matcher_.match_lanes_into(candidates.shortest_remaining(),
                             candidates.ingress(), candidates.egress(),
                             candidates.shortest_flow(), candidates.size(),
-                            n_ports, n_ports, out.selected);
+                            n_ports, n_ports, out.selected,
+                            candidates.changes());
 }
 
 }  // namespace basrpt::sched

@@ -38,7 +38,8 @@ void ThresholdSrptScheduler::decide_into(PortId n_ports,
   }
   matcher_.match_lanes_into(keys_.data(), candidates.ingress(),
                             candidates.egress(), candidates.shortest_flow(),
-                            n, n_ports, n_ports, out.selected);
+                            n, n_ports, n_ports, out.selected,
+                            candidates.changes());
 }
 
 }  // namespace basrpt::sched

@@ -37,6 +37,7 @@ SlottedResult run_slotted(const SlottedConfig& config,
   fabric::CandidateCache cache(voqs, /*unit_bytes=*/1.0,
                                scheduler.needs_arrival_lane());
   sched::Decision decision;
+  std::vector<queueing::FlowSlot> selected_slots;
   fault::InvariantAuditor auditor("switchsim");
 
   // Every arrivals() call is counted so a resumed run can replay the
@@ -303,18 +304,23 @@ SlottedResult run_slotted(const SlottedConfig& config,
     }
     const std::vector<queueing::FlowId>& selected = decision.selected;
     lifecycle.apply_decision(selected, static_cast<double>(t));
+    // One id lookup per served flow; its slot stays valid until the
+    // flow's own drain completes it.
+    selected_slots.clear();
     if (!selected.empty()) {
       double selected_size = 0.0;
       for (const queueing::FlowId id : selected) {
+        const queueing::FlowSlot slot = voqs.slot_of(id);
+        selected_slots.push_back(slot);
         selected_size +=
-            static_cast<double>(voqs.flow(id).remaining.count);
+            static_cast<double>(voqs.flow_at(slot).remaining.count);
       }
       result.penalty.add(selected_size /
                          static_cast<double>(selected.size()));
     }
-    for (const queueing::FlowId id : selected) {
-      const queueing::Flow flow_copy = voqs.flow(id);
-      const bool completed = voqs.drain(id, Bytes{1});
+    for (const queueing::FlowSlot slot : selected_slots) {
+      const queueing::Flow flow_copy = voqs.flow_at(slot);
+      const bool completed = voqs.drain_at(slot, Bytes{1});
       ++result.delivered_packets;
       if (completed) {
         // Flow::arrival stores the arrival slot.

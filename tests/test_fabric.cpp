@@ -1,11 +1,14 @@
 // Tests for src/fabric: CandidateCache differential equivalence against
-// build_candidates (the from-scratch oracle), FlowLifecycle accounting,
+// build_candidates (the from-scratch oracle), its lane-change lists and
+// the greedy schedulers' merged candidate order, FlowLifecycle accounting,
 // preemption-diff semantics and decide-site metrics, and end-to-end
 // tracer regressions that pin the refactored simulators to the event
 // streams the pre-fabric code emitted on the same scripted runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,9 +18,11 @@
 #include "fabric/candidate_cache.hpp"
 #include "fabric/flow_lifecycle.hpp"
 #include "flowsim/flow_sim.hpp"
+#include "matching/greedy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pktsim/packet_sim.hpp"
+#include "sched/factory.hpp"
 #include "queueing/voq.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/srpt.hpp"
@@ -51,10 +56,61 @@ void expect_candidates_equal(const sched::CandidateView& got,
   }
 }
 
+bool lane_equals(const sched::CandidateView& v, std::size_t k,
+                 const sched::VoqCandidate& c) {
+  return v.ingress()[k] == c.ingress && v.egress()[k] == c.egress &&
+         v.backlog()[k] == c.backlog && v.flow_count()[k] == c.flow_count &&
+         v.shortest_flow()[k] == c.shortest_flow &&
+         v.shortest_remaining()[k] == c.shortest_remaining &&
+         v.shortest_arrival()[k] == c.shortest_arrival &&
+         (!v.has_arrival_lane() || (v.oldest_flow()[k] == c.oldest_flow &&
+                                    v.oldest_arrival()[k] == c.oldest_arrival));
+}
+
+/// Copies a view's lanes out (the cache rewrites its lanes in place).
+std::vector<sched::VoqCandidate> lanes_of(const sched::CandidateView& v) {
+  std::vector<sched::VoqCandidate> out(v.size());
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    out[k] = {v.ingress()[k],       v.egress()[k],
+              v.backlog()[k],       v.flow_count()[k],
+              v.shortest_flow()[k], v.shortest_remaining()[k],
+              v.shortest_arrival()[k]};
+    if (v.has_arrival_lane()) {
+      out[k].oldest_flow = v.oldest_flow()[k];
+      out[k].oldest_arrival = v.oldest_arrival()[k];
+    }
+  }
+  return out;
+}
+
+/// The view's change list names each rewritten position once, below the
+/// view's size, and every position it leaves out holds the same values
+/// as in `prev`, the previous view's lanes.
+void expect_changes_cover(const std::vector<sched::VoqCandidate>& prev,
+                          const sched::CandidateView& view) {
+  const matching::LaneChanges& changes = view.changes();
+  ASSERT_TRUE(changes.known);
+  std::vector<char> listed(view.size(), 0);
+  for (std::size_t k = 0; k < changes.count; ++k) {
+    const std::uint32_t pos = changes.positions[k];
+    ASSERT_LT(pos, view.size());
+    EXPECT_EQ(listed[pos], 0) << "position " << pos << " listed twice";
+    listed[pos] = 1;
+  }
+  for (std::size_t pos = 0; pos < view.size(); ++pos) {
+    if (listed[pos] == 0) {
+      ASSERT_LT(pos, prev.size()) << "new position " << pos << " unlisted";
+      EXPECT_TRUE(lane_equals(view, pos, prev[pos]))
+          << "position " << pos << " changed but is not listed";
+    }
+  }
+}
+
 /// Randomized churn (add / partial drain / drain-to-completion / remove)
 /// against one VoqMatrix; after every batch of mutations the cache's
 /// incremental SoA view must equal the from-scratch AoS build, lane for
-/// lane and in the same order.
+/// lane and in the same order, and its change list must name every lane
+/// that differs from the previous view.
 void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
                std::uint64_t seed) {
   Rng rng(seed);
@@ -62,6 +118,8 @@ void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
   CandidateCache cache(voqs, unit_bytes, with_arrival);
   std::vector<queueing::FlowId> live;
   queueing::FlowId next_id = 0;
+  std::vector<sched::VoqCandidate> prev;
+  std::uint64_t sequence = 0;
 
   for (int step = 0; step < 1500; ++step) {
     const double u = rng.uniform01();
@@ -98,10 +156,16 @@ void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
     // Refresh at a varying cadence so dirt accumulates across several
     // mutations (the steady-state pattern) as well as one at a time.
     if (step % 7 == 0 || step + 1 == 1500) {
+      const sched::CandidateView& view = cache.refresh();
       expect_candidates_equal(
-          cache.refresh(),
-          sched::build_candidates(voqs, unit_bytes, with_arrival),
+          view, sched::build_candidates(voqs, unit_bytes, with_arrival),
           with_arrival);
+      if (step > 0) {
+        EXPECT_EQ(view.changes().sequence, sequence + 1);
+        expect_changes_cover(prev, view);
+      }
+      sequence = view.changes().sequence;
+      prev = lanes_of(view);
     }
   }
 }
@@ -171,6 +235,171 @@ TEST(CandidateCache, RecomputesOnlyDirtyVoqs) {
     if (view.shortest_flow()[k] == 3) {
       EXPECT_EQ(view.backlog()[k], 90.0);
     }
+  }
+}
+
+TEST(CandidateCache, MovedVoqIsCopiedNotRecomputed) {
+  // Three VOQs in non-empty order 0:(0,1) 1:(1,2) 2:(2,3). Emptying the
+  // first swap-removes it: (2,3) moves to position 0 and the view
+  // shrinks. The moved VOQ is clean, so its lane is copied from its
+  // entry, not recomputed.
+  queueing::VoqMatrix voqs(4);
+  CandidateCache cache(voqs, 1.0);
+  for (queueing::FlowId id = 0; id < 3; ++id) {
+    queueing::Flow f;
+    f.id = id;
+    f.src = static_cast<queueing::PortId>(id);
+    f.dst = static_cast<queueing::PortId>(id + 1);
+    f.size = Bytes{100 + id};
+    f.remaining = f.size;
+    voqs.add_flow(f);
+  }
+  const std::vector<sched::VoqCandidate> before = lanes_of(cache.refresh());
+  ASSERT_EQ(before.size(), 3u);
+  EXPECT_EQ(cache.voqs_recomputed(), 3);
+
+  ASSERT_TRUE(voqs.drain(0, Bytes{100}));
+  const sched::CandidateView& view = cache.refresh();
+  EXPECT_EQ(cache.voqs_recomputed(), 3);
+  ASSERT_EQ(view.size(), 2u);
+  ASSERT_EQ(view.changes().count, 1u);
+  EXPECT_EQ(view.changes().positions[0], 0u);
+  EXPECT_TRUE(lane_equals(view, 0, before[2]));
+  EXPECT_TRUE(lane_equals(view, 1, before[1]));
+  expect_candidates_equal(view, sched::build_candidates(voqs, 1.0), true);
+
+  // A refresh that changed nothing hands back the same stamp.
+  const std::uint64_t sequence = view.changes().sequence;
+  EXPECT_EQ(cache.refresh().changes().sequence, sequence);
+}
+
+// ----------------------------------------------------- candidate order
+
+/// One persistent scheduler per policy, fed by one CandidateCache under
+/// random churn, must select at every step exactly what a scheduler
+/// built fresh for that step selects on the same view. The churn covers
+/// arrivals, partial drains, VOQs emptied by swap-remove, removals, port
+/// masks switched on and off, refreshes with no decide, and refreshes
+/// that change nothing; a bare GreedyMatcher fed the SRPT lanes checks
+/// that the merge path is the one under test.
+void run_order_churn(queueing::PortId ports, std::uint64_t seed) {
+  const std::vector<sched::SchedulerSpec> specs = {
+      sched::SchedulerSpec::srpt(),
+      sched::SchedulerSpec::fast_basrpt(40.0),
+      sched::SchedulerSpec::threshold_srpt(300.0),
+      sched::SchedulerSpec::fifo(),
+      sched::SchedulerSpec::srpt().with_size_error(3.0),
+  };
+  Rng rng(seed);
+  queueing::VoqMatrix voqs(ports);
+  CandidateCache cache(voqs, 1.0, /*with_arrival=*/true);
+  std::vector<sched::SchedulerPtr> persistent;
+  for (const auto& spec : specs) {
+    persistent.push_back(sched::make_scheduler(spec));
+  }
+  matching::GreedyMatcher matcher;
+  std::vector<std::int64_t> merged;
+  std::vector<std::int64_t> sorted;
+  std::vector<queueing::FlowId> live;
+  queueing::FlowId next_id = 0;
+  sched::Decision got;
+  sched::Decision want;
+
+  const auto add_flow = [&](std::int64_t step) {
+    queueing::Flow f;
+    f.id = next_id++;
+    f.src = static_cast<queueing::PortId>(rng.uniform_int(0, ports - 1));
+    f.dst = static_cast<queueing::PortId>(rng.uniform_int(0, ports - 1));
+    f.size = Bytes{rng.uniform_int(1, 600)};
+    f.remaining = f.size;
+    f.arrival = SimTime{static_cast<double>(step)};
+    voqs.add_flow(f);
+    live.push_back(f.id);
+  };
+  const auto pick_live = [&]() {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+  };
+  const std::int64_t warm = 6 * static_cast<std::int64_t>(ports) * ports;
+  for (std::int64_t k = 0; k < warm; ++k) {
+    add_flow(0);
+  }
+
+  for (std::int64_t step = 1; step <= 400; ++step) {
+    SCOPED_TRACE(step);
+    // A few mutations per step, so most steps stay under the merge
+    // cut-over; every 25th step is heavy churn, which must fall back.
+    const std::int64_t mutations =
+        step % 25 == 0 ? static_cast<std::int64_t>(voqs.non_empty_voqs())
+                       : rng.uniform_int(0, 4);
+    for (std::int64_t k = 0; k < mutations; ++k) {
+      const double u = rng.uniform01();
+      if (live.empty() || u < 0.35) {
+        add_flow(step);
+      } else if (u < 0.75) {
+        const std::size_t i = pick_live();
+        if (voqs.drain(live[i], Bytes{rng.uniform_int(1, 40)})) {
+          live[i] = live.back();
+          live.pop_back();
+        }
+      } else if (u < 0.9) {
+        // Empty a whole VOQ: swap-remove moves the last non-empty VOQ
+        // into its lane.
+        const queueing::Flow f = voqs.flow(live[pick_live()]);
+        for (const queueing::FlowId id : voqs.voq_flow_ids(f.src, f.dst)) {
+          voqs.remove(id);
+          live.erase(std::find(live.begin(), live.end(), id));
+        }
+      } else {
+        const std::size_t i = pick_live();
+        voqs.remove(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+      }
+    }
+    if (step % 40 == 10) {
+      cache.set_port_usable(
+          static_cast<queueing::PortId>(rng.uniform_int(0, ports - 1)),
+          false);
+    } else if (step % 40 == 20) {
+      for (queueing::PortId p = 0; p < ports; ++p) {
+        cache.set_port_usable(p, true);
+      }
+    }
+    if (step % 9 == 0) {
+      cache.refresh();  // a refresh with no decide: a sequence gap
+      continue;
+    }
+    if (step % 13 == 0) {
+      cache.refresh();  // the refresh below changes nothing
+    }
+    const sched::CandidateView& view = cache.refresh();
+    const auto n = static_cast<std::size_t>(ports);
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      SCOPED_TRACE(persistent[s]->name());
+      persistent[s]->decide_into(ports, view, got);
+      sched::make_scheduler(specs[s])->decide_into(ports, view, want);
+      EXPECT_EQ(got.selected, want.selected);
+    }
+    matcher.match_lanes_into(view.shortest_remaining(), view.ingress(),
+                             view.egress(), view.shortest_flow(),
+                             view.size(), ports, ports, merged,
+                             view.changes());
+    matching::GreedyMatcher().match_lanes_into(
+        view.shortest_remaining(), view.ingress(), view.egress(),
+        view.shortest_flow(), view.size(), ports, ports, sorted);
+    EXPECT_EQ(merged, sorted);
+    EXPECT_LE(merged.size(), n);
+  }
+  EXPECT_GT(matcher.merges(), 100u);
+}
+
+TEST(CandidateOrder, PersistentSchedulersMatchFreshOnesUnderChurn) {
+  // 6 ports stay on the comparison sort; 24 ports put several hundred
+  // candidates on the radix path whenever the merge is not taken.
+  for (const queueing::PortId ports : {6, 24}) {
+    SCOPED_TRACE(ports);
+    run_order_churn(ports, 4400 + static_cast<std::uint64_t>(ports));
   }
 }
 
