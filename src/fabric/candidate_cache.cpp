@@ -32,8 +32,6 @@ CandidateCache::CandidateCache(const queueing::VoqMatrix& voqs,
   const auto n = static_cast<std::size_t>(voqs.ports());
   entries_.resize(n * n);
   lane_of_.assign(n * n, kNoLane);
-  changed_stamp_.assign(n * n, 0);
-  packed_idx_.reserve(n);
   soa_.with_arrival = with_arrival;
   port_ok_.assign(n, 1);
 }
@@ -46,7 +44,6 @@ void CandidateCache::recompute(std::size_t idx) {
 
 void CandidateCache::write_lane(std::size_t pos, std::uint32_t idx) {
   const sched::VoqCandidate& c = entries_[idx];
-  packed_idx_[pos] = idx;
   lane_of_[idx] = static_cast<std::uint32_t>(pos);
   soa_.ingress[pos] = c.ingress;
   soa_.egress[pos] = c.egress;
@@ -67,11 +64,13 @@ void CandidateCache::refresh_changed() {
   // into it; so the positions dirty VOQs held and hold are all that moved.
   const std::vector<std::size_t>& order = voqs_.non_empty_indices();
   const std::size_t m = order.size();
-  ++changed_epoch_;
+  if (is_changed_.size() < m) {
+    is_changed_.resize(m, 0);
+  }
   changed_.clear();
   const auto mark = [&](std::size_t pos) {
-    if (changed_stamp_[pos] != changed_epoch_) {
-      changed_stamp_[pos] = changed_epoch_;
+    if (is_changed_[pos] == 0) {
+      is_changed_[pos] = 1;
       changed_.push_back(static_cast<std::uint32_t>(pos));
     }
   };
@@ -91,8 +90,8 @@ void CandidateCache::refresh_changed() {
     mark(voqs_.non_empty_position(idx));
   }
   soa_.resize_lanes(m);
-  packed_idx_.resize(m);
   for (const std::uint32_t pos : changed_) {
+    is_changed_[pos] = 0;
     write_lane(pos, static_cast<std::uint32_t>(order[pos]));
   }
 }
@@ -106,8 +105,8 @@ void CandidateCache::repack_all() {
       recompute(idx);
     }
   }
-  for (const std::uint32_t idx : packed_idx_) {
-    lane_of_[idx] = kNoLane;
+  for (std::size_t pos = 0; pos < soa_.ingress.size(); ++pos) {
+    lane_of_[voqs_.voq_index(soa_.ingress[pos], soa_.egress[pos])] = kNoLane;
   }
   const std::vector<std::size_t>& order = voqs_.non_empty_indices();
   std::size_t m = order.size();
@@ -121,7 +120,6 @@ void CandidateCache::repack_all() {
     candidates_masked_ += order.size() - m;
   }
   soa_.resize_lanes(m);
-  packed_idx_.resize(m);
   std::size_t pos = 0;
   for (const std::size_t idx : order) {
     const auto i = static_cast<std::size_t>(voqs_.voq_ingress(idx));

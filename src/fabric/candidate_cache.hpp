@@ -95,7 +95,6 @@ class CandidateCache {
   std::uint64_t seen_mask_epoch_ = 0;
 
   std::vector<sched::VoqCandidate> entries_;  // dense, by flat VOQ index
-  std::vector<std::uint32_t> packed_idx_;     // flat indexes, lane order
   std::vector<std::uint32_t> lane_of_;        // flat index -> lane, or none
   sched::CandidateSoA soa_;                   // packed lanes
   sched::CandidateView view_;
@@ -106,9 +105,8 @@ class CandidateCache {
   std::uint64_t source_;
   std::uint64_t sequence_ = 0;
   bool lanes_mirror_ = false;
-  std::vector<std::uint32_t> changed_;        // lane positions rewritten
-  std::vector<std::uint64_t> changed_stamp_;  // by position: == epoch
-  std::uint64_t changed_epoch_ = 0;
+  std::vector<std::uint32_t> changed_;  // lane positions rewritten
+  std::vector<char> is_changed_;        // by position; all 0 between calls
 
   void recompute(std::size_t idx);
   void write_lane(std::size_t pos, std::uint32_t idx);
