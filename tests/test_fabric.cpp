@@ -22,8 +22,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pktsim/packet_sim.hpp"
-#include "sched/factory.hpp"
 #include "queueing/voq.hpp"
+#include "sched/factory.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/srpt.hpp"
 #include "switchsim/slotted_sim.hpp"
